@@ -21,6 +21,7 @@
 //	apebench -run coll-a2a -router adaptive -hotlinks 3
 //	apebench -run coll-scaling,scale-sweep -scale  # 16^3/32^3 LQCD-scale rows
 //	apebench -run scale-sweep -dims 16,16,16 -shards 4  # 4 parallel engines, bit-identical results
+//	apebench -run 'route-*' -shards 2      # adaptive and fault-aware routing shard too
 //	apebench -run route-degraded -trace-out traces/  # stage traces + telemetry + rendered HTML per experiment
 //	apebench -run coll-allreduce -shards 4 -trace-out traces/  # sharded capture, canonically merged
 //	apebench -all -quick -parallel 4 -json out.json
@@ -34,7 +35,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -53,23 +53,6 @@ func fmtRate(r float64) string {
 	default:
 		return fmt.Sprintf("%.0f", r)
 	}
-}
-
-// parseDims parses a -dims value like "8,8,8" into torus dimensions.
-func parseDims(s string) (torus.Dims, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return torus.Dims{}, fmt.Errorf("want X,Y,Z (e.g. 8,8,8), got %q", s)
-	}
-	var v [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return torus.Dims{}, fmt.Errorf("bad dimension %q in %q", p, s)
-		}
-		v[i] = n
-	}
-	return torus.Dims{X: v[0], Y: v[1], Z: v[2]}, nil
 }
 
 // listExperiments prints the registry as a stable aligned table: ID,
@@ -146,7 +129,7 @@ func main() {
 	tlb := flag.Bool("tlb", false, "run every card with the hardware RX TLB (28 nm follow-up) instead of the firmware V2P walk")
 	router := flag.String("router", "", "torus routing engine: dor (default), adaptive, or fault")
 	scale := flag.Bool("scale", false, "include the LQCD-scale 16^3/32^3 rows in size-sweeping experiments (minutes of wall time)")
-	shards := flag.Int("shards", 1, "run the collective-world experiments across N parallel per-slab engines (1 = serial; results are bit-identical across shard counts N >= 2, and recorded+gated on baseline compares)")
+	shards := flag.Int("shards", 1, "run the collective-world experiments (coll-*, route-*, scale-sweep; every router) across N parallel per-slab engines (1 = serial; results are bit-identical across shard counts N >= 2, and recorded+gated on baseline compares)")
 	hotlinks := flag.Int("hotlinks", 0, "print the top-N congested links after each coll-*/route-* experiment")
 	traceOut := flag.String("trace-out", "", "write per-experiment stage traces with sampled telemetry series (shared trace JSON schema) and rendered HTML pages to this directory; composes with -shards via per-shard capture buffers")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the experiment runs to this file")
@@ -165,7 +148,7 @@ func main() {
 	var dims torus.Dims
 	if *dimsFlag != "" {
 		var err error
-		if dims, err = parseDims(*dimsFlag); err != nil {
+		if dims, err = torus.ParseDims(*dimsFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "apebench: -dims: %v\n", err)
 			os.Exit(2)
 		}

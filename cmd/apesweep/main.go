@@ -158,7 +158,7 @@ func buildCells(dimsList, shardsList, routerList, tlbList string) ([]cell, error
 			allDims = append(allDims, torus.Dims{})
 			continue
 		}
-		d, err := parseDims(s)
+		d, err := torus.ParseDims(s)
 		if err != nil {
 			return nil, fmt.Errorf("-dims: %w", err)
 		}
@@ -232,23 +232,6 @@ func cellID(c cell) string {
 		return "default"
 	}
 	return strings.Join(parts, "-")
-}
-
-// parseDims parses "X,Y,Z" into torus dimensions (apebench's syntax).
-func parseDims(s string) (torus.Dims, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return torus.Dims{}, fmt.Errorf("want X,Y,Z (e.g. 8,8,8), got %q", s)
-	}
-	var v [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return torus.Dims{}, fmt.Errorf("bad dimension %q in %q", p, s)
-		}
-		v[i] = n
-	}
-	return torus.Dims{X: v[0], Y: v[1], Z: v[2]}, nil
 }
 
 // tupleMatches reports whether a cell's run carries the same option

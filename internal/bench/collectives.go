@@ -23,23 +23,26 @@ import (
 // collSlot bounds the largest single collective message in experiments.
 const collSlot = 4 * units.MB
 
-// collWorld builds a GPU-buffer collective world on its own engine. The
-// -shards request is clamped to what the experiment's torus can hold, so
-// one flag can drive a whole sweep of sizes (coll.NewWorld itself rejects
+// shardsFor clamps the -shards request to what a torus can hold, so one
+// flag can drive a whole sweep of sizes (coll.NewWorld itself rejects
 // over-axis requests).
+func (o Options) shardsFor(dims torus.Dims) int {
+	if max := coll.MaxShards(dims); o.Shards > max {
+		return max
+	}
+	return o.Shards
+}
+
+// collWorld builds a GPU-buffer collective world on its own engine.
 func collWorld(o Options, dims torus.Dims) (*sim.Engine, *coll.World) {
 	eng := sim.NewWithAccount(o.Account)
 	cfg := o.config()
-	shards := o.Shards
-	if max := coll.MaxShards(dims); shards > max {
-		shards = max
-	}
 	w, err := coll.NewWorld(eng, coll.Config{
 		Dims:      dims,
 		Card:      &cfg,
 		Buf:       core.GPUMem,
 		SlotBytes: collSlot,
-		Shards:    shards,
+		Shards:    o.shardsFor(dims),
 		Rec:       o.Rec,
 		TS:        o.TS,
 	})

@@ -1,63 +1,27 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
+import "testing"
 
-	"apenetsim/internal/torus"
-)
-
-// TestAllExperimentsDeterministic runs every registered experiment twice
-// with identical options and demands byte-identical report JSON plus
-// identical simulation accounting. This is the property the whole
-// baseline-diff workflow rests on (CompareRuns at 0% tolerance, the CI
-// smoke that diffs a run against its own rerun): any nondeterminism —
-// map iteration leaking into a table, wall-clock data in a cell, a
-// worker-count dependence — fails here first, with the experiment named.
+// TestAllExperimentsDeterministic demands that every registered
+// experiment, run twice with identical options, produce byte-identical
+// report JSON plus identical simulation accounting. This is the property
+// the whole baseline-diff workflow rests on (CompareRuns at 0% tolerance,
+// the CI smoke that diffs a run against its own rerun): any
+// nondeterminism — map iteration leaking into a table, wall-clock data in
+// a cell, a worker-count dependence — fails here first, with the
+// experiment named.
 //
-// The size-sweeping experiments are pinned to a 2x2x2 torus: determinism
-// is a per-experiment code property, not a function of torus size, and
-// the LQCD-scale rows (16^3 tori spin up ~25k goroutines) would blow the
-// race detector's goroutine budget under `go test -race`. The scale rows
-// stay exercised by apebench -scale outside the test harness.
+// The two runs are TestShardedEquivalence's reference pair (see
+// referenceRuns), shared so each experiment's reference executes twice
+// per test binary, not four times. This test keeps the check running
+// under the race detector, where the equivalence test skips the
+// experiments that consume no shards.
 func TestAllExperimentsDeterministic(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			opts := Options{Quick: true}
-			if strings.HasPrefix(e.ID, "coll-") || e.ID == "scale-sweep" {
-				opts.Dims = torus.Dims{X: 2, Y: 2, Z: 2}
-			}
-			r := &Runner{Parallel: 1, Opts: opts}
-			first := r.runOne(e)
-			second := r.runOne(e)
-			if first.Err != "" || second.Err != "" {
-				t.Fatalf("experiment failed: first %q, second %q", first.Err, second.Err)
-			}
-			a, err := json.Marshal(first.Report)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(second.Report)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("report JSON differs between identical runs:\nfirst:  %s\nsecond: %s", a, b)
-			}
-			if first.SimSteps != second.SimSteps || first.SimEngines != second.SimEngines {
-				t.Errorf("simulation accounting differs: first %d engines / %d steps, second %d engines / %d steps",
-					first.SimEngines, first.SimSteps, second.SimEngines, second.SimSteps)
-			}
-			if first.PeakPending != second.PeakPending {
-				t.Errorf("peak pending differs: first %d, second %d", first.PeakPending, second.PeakPending)
-			}
-			if first.SimSteps == 0 {
-				t.Error("experiment executed zero simulation steps")
-			}
+			referenceRuns(t, e)
 		})
 	}
 }

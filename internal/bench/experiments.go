@@ -54,14 +54,13 @@ type Options struct {
 	// millions of events; set from apebench's -scale flag and recorded in
 	// the run JSON.
 	Scale bool
-	// Shards, when >1, runs the collective-world experiments (coll-* and
-	// scale-sweep) sharded: the torus is sliced into that many slabs,
-	// each on its own event engine, executed in parallel under the
-	// conservative protocol of sim.Group (see coll.Config.Shards). The
-	// results are pinned bit-identical to the serial engine by
-	// TestShardedEquivalence; worlds whose configuration is not
-	// shard-exact (adaptive/fault routers) fall back to serial.
-	// Set from apebench's -shards flag and recorded in the run JSON.
+	// Shards, when >1, runs the collective-world experiments (coll-*,
+	// route-* and scale-sweep) sharded under every router: the torus is
+	// sliced into that many slabs, each on its own event engine, executed
+	// in parallel under the conservative protocol of sim.Group (see
+	// coll.Config.Shards). The results are pinned bit-identical across
+	// shard counts by TestShardedEquivalence. Set from apebench's -shards
+	// flag and recorded in the run JSON.
 	Shards int
 	// HotLinks, when positive, makes the experiments that drive collective
 	// torus traffic (the coll-* and route-* families) record their top-N

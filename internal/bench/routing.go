@@ -40,6 +40,7 @@ func routedWorld(o Options, dims torus.Dims, mode route.Mode) (*sim.Engine, *col
 		Dims:      dims,
 		Card:      &cfg,
 		SlotBytes: collSlot,
+		Shards:    o.shardsFor(dims),
 		Rec:       o.Rec,
 		TS:        o.TS,
 	})

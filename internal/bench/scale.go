@@ -62,16 +62,12 @@ func ScaleSweep(o Options) *Report {
 		cfg := o.config()
 		cfg.Account = acct
 		cfg.LinkMeterMode = core.LinkMeterSampled
-		shards := o.Shards
-		if max := coll.MaxShards(dims); shards > max {
-			shards = max // the sweep's small rows can't hold the full request
-		}
 		w, err := coll.NewWorld(eng, coll.Config{
 			Dims:      dims,
 			Card:      &cfg,
 			Buf:       core.GPUMem,
 			SlotBytes: collSlot,
-			Shards:    shards,
+			Shards:    o.shardsFor(dims),
 		})
 		must(err)
 		var haloT, reduceT sim.Duration

@@ -4,89 +4,163 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"apenetsim/internal/torus"
 )
 
 // TestShardedEquivalence is the pin the sharded event loop hangs from:
-// every registered experiment, run with 2, 4, and 8 shards, must produce
-// byte-identical report JSON and identical simulation accounting against
-// a shard-count-independent reference. The collective-world experiments
-// get an 8x2x2 torus so 2, 4, and 8 shards are all real slab
-// decompositions (8 parallel engines along X); the other experiments
-// ignore Options.Shards by construction, and this test is the regression
-// guard that it stays that way.
+// every registered experiment runs its reference configuration twice —
+// byte-identical report JSON, sim steps, engines and peak pending, the
+// determinism every 0% baseline diff rests on — and then with 2, 4, and
+// 8 shards, which must match the reference's report JSON (masked, see
+// below), sim steps and engine count. The experiments that consume
+// Options.Shards (coll-*, route-*, scale-sweep) cover every router:
+// dimension-ordered, adaptive (route-hotspot, coll-a2a-adaptive) and
+// fault-aware (route-degraded). Those honoring Options.Dims get an 8x2x2
+// torus so 2, 4, and 8 shards are all real slab decompositions (8
+// parallel engines along X); the route-* tori are fixed, and the shard
+// request is clamped to their slab axis. The other experiments ignore
+// Options.Shards by construction, and this test is the regression guard
+// that it stays that way: they run once more, at 8 shards.
 //
-// The reference row is the serial engine (Shards: 1) for every
-// experiment except coll-a2a, whose reference is the one-slab group
-// (Shards: -1, see sim.NewGroup). All-to-all is the one experiment whose
-// credit grants fire retroactively under contention, and the group's
-// barrier-deferred message protocol reorders those same-window link
-// bookings relative to the serial engine's inline execution — by a
-// whisker (peak backlog and step count; makespan, bandwidth, and link
-// utilization agree). The deferral is a pure function of event stamps,
-// so the one-slab group is bit-identical to every sharded run, which is
-// exactly what this test pins.
+// The reference is the serial engine (Shards: 1) for every experiment
+// except those whose credit grants fire retroactively under contention,
+// whose reference is the one-slab group (Shards: -1, see sim.NewGroup):
+//
+//   - coll-a2a, coll-a2a-adaptive: the synchronized all-to-all burst;
+//   - route-hotspot: the transpose permutation's contended columns.
+//
+// There the group's barrier-deferred message protocol resumes blocked
+// injectors a barrier later than the serial engine's inline grant, which
+// reorders same-window link bookings. The deferral is a pure function of
+// event stamps, so the one-slab group is bit-identical to every sharded
+// run, which is exactly what this test pins.
 //
 // One masked cell: scale-sweep's "peak pending" column reports the
 // event-queue high-water mark, which is a property of each engine's heap
 // — with the work spread over N heaps the per-engine peaks are genuinely
 // smaller, and a cross-heap global trajectory would reintroduce worker-
 // schedule nondeterminism. The column stays deterministic per shard count
-// (the determinism test covers it; baselines compare runs at matching
+// (the reference rerun checks it; baselines compare runs at matching
 // -shards), it just is not shard-invariant. Every timing and sim-step
 // cell is compared exactly.
 func TestShardedEquivalence(t *testing.T) {
 	for _, e := range All() {
 		e := e
-		sharded := strings.HasPrefix(e.ID, "coll-") || e.ID == "scale-sweep"
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			if raceEnabled && !sharded {
+			if raceEnabled && !consumesShards(e.ID) {
 				// Experiments that ignore Options.Shards run the serial
-				// engine four times over; under the race detector that
-				// quadruples the suite past the package timeout without
-				// adding coverage (the determinism test already runs
-				// them under race). The full matrix runs without -race.
+				// engine three times over; under the race detector that
+				// blows the suite past the package timeout without adding
+				// coverage (TestAllExperimentsDeterministic still runs their
+				// reference pair under race). The full matrix runs without
+				// -race.
 				t.Skip("trimmed under the race detector; consumes no shards")
 			}
-			opts := Options{Quick: true}
-			if sharded {
-				opts.Dims = torus.Dims{X: 8, Y: 2, Z: 2}
+			ref := referenceRuns(t, e)
+			refJSON := marshalMasked(t, e.ID, ref.first.Report)
+			counts := []int{2, 4, 8}
+			if !consumesShards(e.ID) {
+				// One shard request is enough to show it is ignored.
+				counts = counts[2:]
 			}
-			ref := 1
-			if e.ID == "coll-a2a" {
-				ref = -1 // one-slab group: see the doc comment above
-			}
-			var refRes Result
-			var refJSON []byte
-			for _, shards := range []int{ref, 2, 4, 8} {
-				o := opts
+			for _, shards := range counts {
+				o := ref.opts
 				o.Shards = shards
 				res := (&Runner{Parallel: 1, Opts: o}).runOne(e)
 				if res.Err != "" {
 					t.Fatalf("shards=%d: experiment failed: %s", shards, res.Err)
 				}
-				j := marshalMasked(t, e.ID, res.Report)
-				if shards == ref {
-					refRes, refJSON = res, j
-					continue
-				}
-				if !bytes.Equal(j, refJSON) {
+				if j := marshalMasked(t, e.ID, res.Report); !bytes.Equal(j, refJSON) {
 					t.Errorf("shards=%d: report JSON differs from reference (shards=%d):\nref:     %s\nsharded: %s",
-						shards, ref, refJSON, j)
+						shards, ref.opts.Shards, refJSON, j)
 				}
-				if res.SimSteps != refRes.SimSteps {
-					t.Errorf("shards=%d: %d sim steps, reference %d", shards, res.SimSteps, refRes.SimSteps)
+				if res.SimSteps != ref.first.SimSteps {
+					t.Errorf("shards=%d: %d sim steps, reference %d", shards, res.SimSteps, ref.first.SimSteps)
 				}
-				if res.SimEngines != refRes.SimEngines {
+				if res.SimEngines != ref.first.SimEngines {
 					t.Errorf("shards=%d: %d sim engines, reference %d (a group must count as one logical engine)",
-						shards, res.SimEngines, refRes.SimEngines)
+						shards, res.SimEngines, ref.first.SimEngines)
 				}
 			}
 		})
 	}
+}
+
+// consumesShards reports whether an experiment runs collective worlds
+// that honor Options.Shards.
+func consumesShards(id string) bool {
+	return strings.HasPrefix(id, "coll-") || strings.HasPrefix(id, "route-") || id == "scale-sweep"
+}
+
+// groupReference names the experiments whose equivalence reference is
+// the one-slab group rather than the serial engine (see
+// TestShardedEquivalence).
+var groupReference = map[string]bool{"coll-a2a": true, "coll-a2a-adaptive": true, "route-hotspot": true}
+
+// refRuns is one experiment's reference configuration and its two runs.
+type refRuns struct {
+	opts          Options
+	first, second Result
+}
+
+// refCache memoizes referenceRuns per experiment ID, so the equivalence
+// and determinism tests share one pair of reference runs per test binary.
+var refCache sync.Map // experiment ID -> *refEntry
+
+type refEntry struct {
+	once sync.Once
+	runs refRuns
+}
+
+// referenceRuns runs an experiment's reference configuration twice (once
+// per test binary) and fails the test unless the two runs are identical:
+// report JSON, sim steps, engine count and peak pending. Both runs must
+// succeed and execute at least one simulation step.
+func referenceRuns(t *testing.T, e Experiment) refRuns {
+	t.Helper()
+	v, _ := refCache.LoadOrStore(e.ID, &refEntry{})
+	entry := v.(*refEntry)
+	entry.once.Do(func() {
+		o := Options{Quick: true, Shards: 1}
+		if consumesShards(e.ID) {
+			o.Dims = torus.Dims{X: 8, Y: 2, Z: 2}
+		}
+		if groupReference[e.ID] {
+			o.Shards = -1
+		}
+		r := &Runner{Parallel: 1, Opts: o}
+		entry.runs = refRuns{opts: o, first: r.runOne(e), second: r.runOne(e)}
+	})
+	first, second := entry.runs.first, entry.runs.second
+	if first.Err != "" || second.Err != "" {
+		t.Fatalf("reference run failed: first %q, second %q", first.Err, second.Err)
+	}
+	a, err := json.Marshal(first.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("report JSON differs between identical runs:\nfirst:  %s\nsecond: %s", a, b)
+	}
+	if first.SimSteps != second.SimSteps || first.SimEngines != second.SimEngines {
+		t.Fatalf("simulation accounting differs: first %d engines / %d steps, second %d engines / %d steps",
+			first.SimEngines, first.SimSteps, second.SimEngines, second.SimSteps)
+	}
+	if first.PeakPending != second.PeakPending {
+		t.Fatalf("peak pending differs: first %d, second %d", first.PeakPending, second.PeakPending)
+	}
+	if first.SimSteps == 0 {
+		t.Fatal("experiment executed zero simulation steps")
+	}
+	return entry.runs
 }
 
 // TestShardedOccupancy pins the parallel structure of sharded runs: the

@@ -29,7 +29,6 @@ import (
 	"apenetsim/internal/core"
 	"apenetsim/internal/gpu"
 	"apenetsim/internal/rdma"
-	"apenetsim/internal/route"
 	"apenetsim/internal/sim"
 	"apenetsim/internal/timeseries"
 	"apenetsim/internal/torus"
@@ -73,21 +72,20 @@ type Config struct {
 	// their own sim engine, and the engines run in parallel under the
 	// conservative protocol of sim.Group with the cable hop latency as
 	// lookahead. 0 or 1 is the serial engine, bit-identical to every
-	// earlier release. Requesting more shards than the slab axis is long
-	// is an error (see MaxShards). The request is ignored entirely
-	// (serial fallback) when the configuration is not shard-exact:
-	// non-dimension-ordered routing reads live per-link state whose
-	// evolution is order-sensitive.
+	// earlier release. Every router shards: hops are booked on the
+	// engine owning each hop's source node at the packet's arrival time,
+	// so an adaptive router's backlog probes read only that engine's
+	// links. Requesting more shards than the slab axis is long is an
+	// error (see MaxShards), and so is any group request on a card
+	// configuration with no positive hop latency (the group lookahead).
 	//
 	// -1 runs the one-slab group: every event on one engine, but with
-	// the group's barrier-deferred message protocol and wire-arrival-
-	// order hop booking — the shard-count-invariant reference that
-	// sharded runs are bit-identical to (see sim.NewGroup and
-	// core's orderedBooking). The serial engine differs from it only
-	// where contention makes the booking order visible: same-window
-	// reservations on shared links, which the group orders by a pure
-	// (rank, seq) key while serial books whole paths at injection —
-	// all-to-all is the one experiment that exercises that.
+	// the group's barrier-deferred message protocol — the shard-count-
+	// invariant reference that sharded runs are bit-identical to (see
+	// sim.NewGroup). The serial engine differs from it only where
+	// credit grants fire retroactively under contention (all-to-all,
+	// the transpose hotspot): the group resumes those injectors a
+	// barrier later than the serial engine's inline grant.
 	Shards int
 }
 
@@ -102,17 +100,8 @@ type World struct {
 	bar       *barrier
 	g         *sim.Group        // nil: serial engine
 	shardRecs []*trace.Recorder // per-slab recorders, parallel to the group's engines
-	shards    int               // effective shard count (1 = serial)
-	notice    string            // non-empty when a shard request was clamped to serial
+	shards    int               // shard count (1 = serial)
 }
-
-// Notice returns the explanation recorded when a sharding request could
-// not be honored ("" when the world runs exactly as configured) — e.g.
-// "non-dimension-ordered routing is not shardable" when an adaptive or
-// fault-aware router is configured with Shards > 1. Tracing no longer
-// forces serial: a traced sharded world records into per-shard buffers
-// and merges them deterministically after the run.
-func (w *World) Notice() string { return w.notice }
 
 // Rank is one collective participant: a node, its card endpoint, and the
 // registered buffers collectives move data through.
@@ -175,8 +164,8 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 	n := cfg.Dims.Nodes()
 
 	// Sharded execution: slice the torus into slabs along its longest
-	// dimension and give each slab its own engine in a sim.Group. Only
-	// shard what stays bit-exact — see Config.Shards.
+	// dimension and give each slab its own engine in a sim.Group (see
+	// Config.Shards).
 	shards := cfg.Shards
 	groupOne := shards == -1
 	if shards < 1 {
@@ -191,34 +180,20 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("coll: %d shards requested but torus %v slices into at most %d slabs along its longest axis (see MaxShards)",
 			shards, cfg.Dims, ax)
 	}
-	// Worlds a sim.Group cannot run bit-exact fall back to the serial
-	// engine. The fallback used to be silent; it is now recorded on the
-	// World (Notice) so callers — apebench in particular — can surface
-	// the reason instead of quietly dropping a -shards request. Tracing
-	// is not such a reason: sharded worlds record into per-shard
-	// buffers and Run merges them canonically.
-	notice := ""
-	if cc.Routing.Mode != route.ModeDimensionOrder || cc.HopLatency <= 0 {
-		if shards > 1 || groupOne {
-			reason := "non-dimension-ordered routing is not shardable"
-			if cc.HopLatency <= 0 {
-				reason = "zero hop latency leaves no group lookahead"
-			}
-			req := fmt.Sprintf("%d-shard request", shards)
-			if groupOne {
-				req = "1-engine group request"
-			}
-			notice = fmt.Sprintf("coll: %s: %s falls back to the serial engine", reason, req)
-		}
-		shards = 1
-		groupOne = false
+	grouped := shards > 1 || groupOne
+	if grouped && cc.HopLatency <= 0 {
+		// The hop latency is the group lookahead: without one, a hop
+		// booked for another shard could land inside the window that
+		// produced it.
+		return nil, fmt.Errorf("coll: %d-shard request needs a positive card hop latency (the group lookahead), got %v",
+			shards, cc.HopLatency)
 	}
 	var g *sim.Group
 	engOf := func(i int) *sim.Engine { return eng }
 	slabOf := func(i int) int {
 		return axisCoord(cfg.Dims.CoordOf(i), axis) * shards / axisLen(cfg.Dims, axis)
 	}
-	if shards > 1 || groupOne {
+	if grouped {
 		g = sim.NewGroup(eng, shards, cc.HopLatency)
 		engOf = func(i int) *sim.Engine { return g.Engine(slabOf(i)) }
 	}
@@ -245,7 +220,7 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{Eng: eng, Cl: cl, Dims: cfg.Dims, Cfg: cfg, bar: newBarrier(eng, n, g),
-		g: g, shardRecs: shardRecs, shards: shards, notice: notice}
+		g: g, shardRecs: shardRecs, shards: shards}
 	for i, node := range cl.Nodes {
 		w.Ranks = append(w.Ranks, &Rank{
 			ID:      i,
@@ -262,8 +237,8 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 // Net returns the torus network (for link stats).
 func (w *World) Net() *core.Network { return w.Cl.Net }
 
-// Shards returns the effective shard count the world runs on (1 = the
-// serial engine; a Config.Shards request may have been clamped away).
+// Shards returns the shard count the world runs on (1 = the serial
+// engine or the one-slab group).
 func (w *World) Shards() int { return w.shards }
 
 // MaxShards returns the largest legal Config.Shards for a torus: the

@@ -9,6 +9,7 @@ import (
 	"apenetsim/internal/route"
 	"apenetsim/internal/sim"
 	"apenetsim/internal/torus"
+	"apenetsim/internal/trace"
 	"apenetsim/internal/units"
 )
 
@@ -108,24 +109,61 @@ func TestShardedCollEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardClamping pins the serial-fallback and validation rules: shard
-// requests are ignored for non-DOR routing, and requests beyond the slab
-// axis length are a loud error, not a deep panic or a silent clamp.
-func TestShardClamping(t *testing.T) {
-	eng := sim.New()
+// TestRoutedWorldsShardAsRequested pins that every router shards: hops
+// are booked on their owner's engine at arrival time, so adaptive and
+// fault-aware worlds run at the requested shard count, traced or not.
+func TestRoutedWorldsShardAsRequested(t *testing.T) {
+	for _, tc := range []struct {
+		mode route.Mode
+		rec  *trace.Recorder
+	}{
+		{route.ModeAdaptive, nil},
+		{route.ModeFaultAware, nil},
+		{route.ModeAdaptive, trace.New()},
+	} {
+		eng := sim.New()
+		cc := core.DefaultConfig()
+		cc.Routing.Mode = tc.mode
+		w, err := NewWorld(eng, Config{Dims: torus.Dims{X: 4, Y: 2, Z: 2}, Card: &cc, Rec: tc.rec, Shards: 2})
+		if err != nil {
+			t.Fatalf("%v (traced=%v): %v", tc.mode, tc.rec != nil, err)
+		}
+		if w.Shards() != 2 {
+			t.Errorf("%v (traced=%v) world runs %d shards, want 2", tc.mode, tc.rec != nil, w.Shards())
+		}
+		eng.Shutdown()
+	}
+}
+
+// TestShardRequestNeedsHopLatency pins that a group request without a
+// positive hop latency — the group lookahead — is an error, while the
+// serial engine still accepts the configuration.
+func TestShardRequestNeedsHopLatency(t *testing.T) {
 	cc := core.DefaultConfig()
-	cc.Routing.Mode = route.ModeAdaptive
-	w, err := NewWorld(eng, Config{Dims: torus.Dims{X: 4, Y: 2, Z: 1}, Card: &cc, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	cc.HopLatency = 0
+	dims := torus.Dims{X: 4, Y: 2, Z: 2}
+	_, err := NewWorld(sim.New(), Config{Dims: dims, Card: &cc, Shards: 2})
+	if err == nil {
+		t.Fatal("2 shards with zero hop latency: want an error, got a world")
 	}
-	if w.Shards() != 1 {
-		t.Fatalf("adaptive routing sharded: Shards() = %d", w.Shards())
+	if !strings.Contains(err.Error(), "hop latency") {
+		t.Fatalf("zero-latency shard error %q does not name the hop latency", err)
 	}
+	eng := sim.New()
+	defer eng.Shutdown()
+	if _, err := NewWorld(eng, Config{Dims: dims, Card: &cc}); err != nil {
+		t.Fatalf("serial world with zero hop latency: %v", err)
+	}
+}
+
+// TestShardClamping pins the validation rule for over-axis requests: more
+// shards than the slab axis is long is a loud error, not a deep panic or
+// a silent clamp.
+func TestShardClamping(t *testing.T) {
 	if got := MaxShards(torus.Dims{X: 2, Y: 2, Z: 2}); got != 2 {
 		t.Fatalf("MaxShards(2x2x2) = %d, want 2", got)
 	}
-	_, err = NewWorld(sim.New(), Config{Dims: torus.Dims{X: 2, Y: 2, Z: 2}, Shards: 8})
+	_, err := NewWorld(sim.New(), Config{Dims: torus.Dims{X: 2, Y: 2, Z: 2}, Shards: 8})
 	if err == nil {
 		t.Fatal("8 shards on a 2x2x2 torus: want an error, got a world")
 	}

@@ -2,16 +2,19 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
+	"apenetsim/internal/route"
 	"apenetsim/internal/sim"
 )
 
 // runInjector drains fully-fetched packets from the TX path into the
 // router: it serializes on the first link hop (the card has one injection
-// port per route), frees TX FIFO space as the packet leaves, and books the
-// remaining hops as cut-through reservations, asking the network's
-// route.Router for every hop. In flush mode the internal switch discards
-// packets (the paper's raw memory-read measurement).
+// port per route), frees TX FIFO space as the packet leaves, and hands the
+// remaining hops to Network.forwardOrdered, which books them as
+// cut-through reservations at each hop's wire-arrival time, asking the
+// network's route.Router for every hop. In flush mode the internal switch
+// discards packets (the paper's raw memory-read measurement).
 func (c *Card) runInjector(p *sim.Proc) {
 	for {
 		pkt := c.injectQ.Get(p)
@@ -46,54 +49,21 @@ func (c *Card) runInjector(p *sim.Proc) {
 		// destination before injecting.
 		c.creditAcquire(p, dest)
 
-		var tally routeTally
 		injT := p.Now()
 		dec, ok := c.Net.nextHop(c.Coord, dstCoord, injT, wire)
 		if !ok {
-			// Account before dropping: earlier packets may already have
-			// flagged the job as routed around, and its last packet must
-			// still count it.
-			c.accountRouting(pkt, tally)
 			c.dropUnroutable(p, pkt, dest)
 			continue
 		}
-		tally.add(dec)
+		c.accountHop(pkt.Job, dec)
 		hopStart, end := c.Net.reserveHop(c.Rank, dec.Dir, injT, wire)
 		p.SleepUntil(end)
 		c.txFIFO.Get(p, int64(wire))
 		c.completePacketTX(pkt)
 		c.stage(injT, hopStart, "inject", pkt.Job, wire, fmt.Sprintf("seq=%d", pkt.Seq))
 		c.Net.traceHop(c.Rec, pkt, c.Rank, dec, hopStart, end)
-
-		if c.Net.orderedBooking() {
-			// Static route on a healthy torus in a group: remaining hops
-			// book in wire-arrival order as keyed events (identical at every
-			// shard count), and a dimension-ordered walk can neither deviate
-			// nor dead-end, so the zero tally folds here — as the serial
-			// path always has.
-			c.accountRouting(pkt, tally)
-			c.Net.forwardOrdered(c, pkt, dest, c.Net.Dims.Neighbor(c.Coord, dec.Dir),
-				end.Add(c.Net.hopLat), c.hopKey(), wire)
-			continue
-		}
-		if c.Net.sharded {
-			// The rest of the path may leave this shard: hand it to the
-			// sharded forwarder, which books local hops in place, posts
-			// cross-shard remainders, and schedules the delivery.
-			c.Net.forwardSharded(c, pkt, dest, c.Net.Dims.Neighbor(c.Coord, dec.Dir),
-				end.Add(c.Net.hopLat), injT, wire, tally, c.Eng)
-			continue
-		}
-		arrival, ok := c.Net.forward(c.Rec, pkt, c.Coord, dec.Dir, dstCoord, end, wire, &tally)
-		c.accountRouting(pkt, tally)
-		if !ok {
-			// Mid-route dead end (a link died under a fault-blind router
-			// after submit-time checks): the packet is lost on the floor.
-			// FIFO space and the send completion were already handled.
-			c.accountLostPacket(p, pkt, dest, "lost mid-route toward rank %d")
-			continue
-		}
-		c.Eng.At(arrival, func() { dest.rxQ.TryPut(pkt) })
+		c.Net.forwardOrdered(c, pkt, dest, c.Net.Dims.Neighbor(c.Coord, dec.Dir),
+			end.Add(c.Net.hopLat), c.hopKey(), wire)
 	}
 }
 
@@ -103,43 +73,43 @@ func (c *Card) runInjector(p *sim.Proc) {
 func (c *Card) dropUnroutable(p *sim.Proc, pkt *Packet, dest *Card) {
 	c.txFIFO.Get(p, int64(c.wireSize(pkt)))
 	c.completePacketTX(pkt)
-	c.accountLostPacket(p, pkt, dest, "no route to rank %d")
+	c.accountLostPacket(c, p.Now(), pkt, dest, "no route to rank %d")
 }
 
-// accountLostPacket is the shared tail of both drop paths: the
-// destination credit goes back, the loss is counted and traced, and the
-// destination learns the bytes will never arrive so the damaged job can
-// drain as incomplete instead of stranding a receiver.
-func (c *Card) accountLostPacket(p *sim.Proc, pkt *Packet, dest *Card, reasonFmt string) {
-	t := p.Now()
-	if c.Net.sharded {
-		// The destination's credit pool and progress maps live on its own
-		// shard: hand both effects over as an infra message (the serial
-		// path does this inline with zero events).
-		c.Eng.Post(dest.Eng.Shard(), t, true, func() {
-			dest.creditRelease(t)
-			dest.rxWireLoss(pkt)
-		})
-	} else {
+// accountLostPacket is the one loss tail, for a packet this card injected
+// that found no usable link at time t — at its first hop (here == c) or
+// mid-route at card here: the destination credit goes back, the
+// destination learns the bytes will never arrive (so the damaged job
+// drains as incomplete instead of stranding a receiver), and this card
+// counts and traces the loss. FIFO space and the send completion were
+// already handled.
+func (c *Card) accountLostPacket(here *Card, t sim.Time, pkt *Packet, dest *Card, reasonFmt string) {
+	onCard(here, dest, t, func() {
 		dest.creditRelease(t)
 		dest.rxWireLoss(pkt)
-	}
-	c.stats.UnroutablePackets++
-	if c.Rec.Enabled() {
-		c.Rec.Emit(p.Now(), c.Name+".inject", "unroutable", int64(pkt.Bytes),
-			fmt.Sprintf(reasonFmt, pkt.Job.DstRank))
-	}
+	})
+	onCard(here, c, t, func() {
+		c.stats.UnroutablePackets++
+		if c.Rec.Enabled() {
+			c.Rec.Emit(t, c.Name+".inject", "unroutable", int64(pkt.Bytes),
+				fmt.Sprintf(reasonFmt, pkt.Job.DstRank))
+		}
+	})
 }
 
-// accountRouting folds one packet's routing decisions into the injecting
-// card's counters: per-hop deviations, and — once per job, on its last
-// packet — whether the job was detoured around a link marked down.
-func (c *Card) accountRouting(pkt *Packet, tally routeTally) {
-	c.stats.AdaptiveDeviations += int64(tally.deviations)
-	if tally.faultDetour {
-		pkt.Job.routedAround = true
+// accountHop folds one hop decision of a job this card injected into its
+// counters: a hop off the dimension-ordered direction, and — once per
+// job, at its first such hop — a detour around links marked down. Hops
+// are decided on whichever shard owns the hop, so both counters are
+// updated atomically in place rather than posted back: a post per
+// deviating hop would add events, and with them change the group's round
+// structure, differently at every shard count. Stats reads them after
+// the run.
+func (c *Card) accountHop(job *TXJob, dec route.Decision) {
+	if dec.Deviated {
+		atomic.AddInt64(&c.stats.AdaptiveDeviations, 1)
 	}
-	if pkt.Last && pkt.Job.routedAround {
-		c.stats.RoutedAroundJobs++
+	if dec.FaultDetour && atomic.CompareAndSwapInt32(&job.routedAround, 0, 1) {
+		atomic.AddInt64(&c.stats.RoutedAroundJobs, 1)
 	}
 }

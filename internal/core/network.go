@@ -52,12 +52,12 @@ type Network struct {
 
 	// sharded is set when the cards registered on this torus live on the
 	// shards of a sim.Group. Each directed link's calendar and meter are
-	// then owned by the shard of its source node: the injector books the
-	// first hop on its own shard, and forward hands the packet across
-	// shard boundaries as timestamped messages (forwardSharded) instead
-	// of booking foreign calendars in place. linkDown stays a single
-	// shared map: it only changes while the group is idle (SetLinkState
-	// enforces this), so shard workers read it without synchronization.
+	// owned by the engine of its source node; serial or sharded, every
+	// hop is booked on that engine at the packet's arrival time (see
+	// forwardOrdered), so no engine touches a foreign calendar. linkDown
+	// stays a single shared map: it only changes while the group is idle
+	// (SetLinkState enforces this), so shard workers read it without
+	// synchronization.
 	sharded bool
 }
 
@@ -243,23 +243,6 @@ func (n *Network) reserveHop(rank int, dir torus.Dir, from sim.Time, wire units.
 // Router returns the network's routing engine (for stats and tests).
 func (n *Network) Router() route.Router { return n.router }
 
-// routeTally summarizes the routing decisions behind one packet's path;
-// the injector folds it into the source card's counters.
-type routeTally struct {
-	deviations  int  // hops chosen off the dimension-ordered direction
-	faultDetour bool // some hop detoured around links marked down
-}
-
-// add folds one hop decision into the tally.
-func (t *routeTally) add(dec route.Decision) {
-	if dec.Deviated {
-		t.deviations++
-	}
-	if dec.FaultDetour {
-		t.faultDetour = true
-	}
-}
-
 // nextHop asks the router for the hop out of cur toward dst at time at.
 // ok=false means no usable hop exists: the destination is unreachable, or
 // a fault-blind router picked a link that is out of service.
@@ -276,39 +259,13 @@ func (n *Network) nextHop(cur, dst torus.Coord, at sim.Time, wire units.ByteSize
 	return dec, true
 }
 
-// forward books a packet's wire traversal beyond its first hop: the
-// injector has already reserved hop 1 (dir firstDir out of srcCoord,
-// wire time ending at firstHopEnd); forward asks the router for each
-// remaining hop at the packet's cut-through arrival time and books it,
-// until the packet reaches dst. ok=false means a mid-route dead end (a
-// link died under a fault-blind router): the packet is lost and the
-// caller must account it. rec/pkt feed the per-hop wire spans of the
-// stage-capture trace (traceHop) and may be nil when nothing records.
-// The sharded forwarders (orderedHop, forwardSharded) emit the same
-// spans through each hop owner's card recorder — shard-private in a
-// sharded traced world, so the emit path stays single-writer — and the
-// post-run canonical merge (trace.Recorder.MergeCanonical) interleaves
-// the per-shard streams deterministically.
-func (n *Network) forward(rec *trace.Recorder, pkt *Packet, srcCoord torus.Coord, firstDir torus.Dir, dst torus.Coord, firstHopEnd sim.Time, wire units.ByteSize, tally *routeTally) (arrival sim.Time, ok bool) {
-	cur := n.Dims.Neighbor(srcCoord, firstDir)
-	arrival = firstHopEnd.Add(n.hopLat)
-	for cur != dst {
-		dec, ok := n.nextHop(cur, dst, arrival, wire)
-		if !ok {
-			return arrival, false
-		}
-		tally.add(dec)
-		start, end := n.reserveHop(n.Dims.Rank(cur), dec.Dir, arrival, wire)
-		n.traceHop(rec, pkt, n.Dims.Rank(cur), dec, start, end)
-		arrival = end.Add(n.hopLat)
-		cur = n.Dims.Neighbor(cur, dec.Dir)
-	}
-	return arrival, true
-}
-
 // traceHop emits one wire-hop span for a packet crossing a link, tagged
 // with the owning op's key and the router's account of the decision;
-// only recorders in stage-capture mode see it.
+// only recorders in stage-capture mode see it. Hops are emitted through
+// the hop owner's card recorder — shard-private in a sharded traced
+// world, so the emit path stays single-writer — and the post-run
+// canonical merge (trace.Recorder.MergeCanonical) interleaves the
+// per-shard streams deterministically.
 func (n *Network) traceHop(rec *trace.Recorder, pkt *Packet, fromRank int, dec route.Decision, start, end sim.Time) {
 	if pkt == nil || !rec.Stages() {
 		return
@@ -319,79 +276,63 @@ func (n *Network) traceHop(rec *trace.Recorder, pkt *Packet, fromRank int, dec r
 		int64(pkt.Bytes), legNote(pkt.Job, pkt.Seq, fromRank, to, dec))
 }
 
-// orderedBooking reports whether this world books hop reservations in
-// wire-arrival order — as keyed events at each hop's `from` time —
-// instead of walking the whole path inside the injection event. The two
-// orders give identical results except when overlapping reservations
-// contend for one link in a different sequence; arrival order is the one
-// that is a pure function of the model (stamps and the (rank, seq) key,
-// never of which engine executes what), which is what makes a group's
-// results invariant in the shard count. Serial engines keep the legacy
-// injection-order walk: it is the order every committed baseline was
-// recorded under, and with one heap there is no scheduling freedom for
-// a tie-break to pin down. Groups require a static route — dimension-
-// ordered routing (hop decisions are pure in (cur, dst), never reading
-// clocks or calendars) on a healthy torus (no links down, so a walk can
-// never dead-end mid-route) with a real cable latency (each hop's stamp
-// then exceeds the posting shard's clock by at least the group
-// lookahead, so keyed hop messages are never ingested retroactively).
-// Adaptive, fault-aware, and degraded worlds keep the legacy walks;
-// they are exactly the worlds coll.NewWorld refuses to shard.
-func (n *Network) orderedBooking() bool {
-	if !n.sharded || n.hopLat <= 0 || len(n.linkDown) != 0 {
-		return false
-	}
-	_, dor := n.router.(*route.DimensionOrder)
-	return dor
-}
-
 // hopKey returns the pure tie key for one packet's hop bookings: packed
 // (injecting rank, per-card packet seq), non-zero by construction. Two
 // bookings that land on the same link at the same time execute in key
-// order on every shard count, including one.
+// order on every engine layout: serial, one-slab group, or sharded.
 func (c *Card) hopKey() uint64 {
 	c.orderSeq++
 	return uint64(c.Rank+1)<<32 | (c.orderSeq & 0xffffffff)
 }
 
-// forwardOrdered books a packet's hops beyond the injector's first as
-// keyed infra events at each hop's wire-arrival time (see
-// orderedBooking). cur is the node after hop 1, at its arrival time.
-// In a one-slab group the events chain through the one engine's heap;
-// sharded they chain through keyed posts to each hop's owning shard,
-// stamped a full hop latency ahead of the posting clock — same merge
-// order either way. The delivery is one counted event at the computed
-// arrival, exactly like the legacy paths.
+// forwardOrdered books a packet's hops beyond the injector's first — the
+// one way they are booked, on every engine layout and under every
+// router. cur is the node after hop 1, reached at time at. Each hop is a
+// keyed infra event at the packet's wire-arrival time on the engine that
+// owns the hop's source node (see orderedHop), so the router decides on
+// the link state of that instant, reading only links the executing
+// engine owns, and same-time bookings on a shared link execute in key
+// order. Arrival order is a pure function of the model (stamps and the
+// (rank, seq) key, never of which engine executes what), which is what
+// makes a group's results invariant in the shard count. Serially the
+// events chain through the one heap; sharded they chain through keyed
+// posts to each hop's owning shard, stamped a full hop latency ahead of
+// the posting clock (coll.NewWorld refuses groups without one), so they
+// are never ingested retroactively.
 func (n *Network) forwardOrdered(src *Card, pkt *Packet, dest *Card, cur torus.Coord, at sim.Time, key uint64, wire units.ByteSize) {
 	if cur == dest.Coord {
-		n.deliverOrdered(src.Eng, dest, at, pkt)
+		n.deliverOrdered(src.Eng, dest, at, key, pkt)
 		return
 	}
-	n.scheduleHop(src.Eng, n.cards[n.Dims.Rank(cur)].Eng, at, key, n.orderedHop(pkt, dest, cur, key, wire))
+	n.scheduleHop(src.Eng, n.cards[n.Dims.Rank(cur)].Eng, at, key, n.orderedHop(src, pkt, dest, cur, key, wire))
 }
 
 // orderedHop returns the booking event for one hop out of cur: executed
-// on cur's owning engine at the packet's arrival time, it books the
-// wire, then chains the next hop or schedules the delivery.
-func (n *Network) orderedHop(pkt *Packet, dest *Card, cur torus.Coord, key uint64, wire units.ByteSize) func() {
+// on cur's owning engine at the packet's arrival time, it asks the
+// router, folds a deviation onto the source card, books the wire, then
+// chains the next hop or schedules the delivery. A dead end — a
+// fault-blind router meeting a link that died after the submit-time
+// reachability check — loses the packet (see Card.accountLostPacket).
+func (n *Network) orderedHop(src *Card, pkt *Packet, dest *Card, cur torus.Coord, key uint64, wire units.ByteSize) func() {
 	return func() {
 		rank := n.Dims.Rank(cur)
-		eng := n.cards[rank].Eng
-		t := eng.Now()
+		here := n.cards[rank]
+		t := here.Eng.Now()
 		dec, ok := n.nextHop(cur, dest.Coord, t, wire)
 		if !ok {
-			// orderedBooking guarantees a static route on a healthy torus.
-			panic("core: ordered hop booking dead-ended on a static route")
+			src.accountLostPacket(here, t, pkt, dest, "lost mid-route toward rank %d")
+			return
 		}
+		src.accountHop(pkt.Job, dec)
 		start, end := n.reserveHop(rank, dec.Dir, t, wire)
-		n.traceHop(n.cards[rank].Rec, pkt, rank, dec, start, end)
+		n.traceHop(here.Rec, pkt, rank, dec, start, end)
 		next := n.Dims.Neighbor(cur, dec.Dir)
 		arrival := end.Add(n.hopLat)
 		if next == dest.Coord {
-			n.deliverOrdered(eng, dest, arrival, pkt)
+			n.deliverOrdered(here.Eng, dest, arrival, key, pkt)
 			return
 		}
-		n.scheduleHop(eng, n.cards[n.Dims.Rank(next)].Eng, arrival, key, n.orderedHop(pkt, dest, next, key, wire))
+		n.scheduleHop(here.Eng, n.cards[n.Dims.Rank(next)].Eng, arrival, key, n.orderedHop(src, pkt, dest, next, key, wire))
 	}
 }
 
@@ -407,79 +348,32 @@ func (n *Network) scheduleHop(eng, owner *sim.Engine, t sim.Time, key uint64, fn
 }
 
 // deliverOrdered schedules the packet's delivery into the destination's
-// RX queue as one counted event at the computed arrival time. The
-// delivery is always a post — even to the executing shard — so that its
-// merge position relative to same-time events is a function of the
+// RX queue as one counted event at the computed arrival time. In a group
+// the delivery is always a post — even to the executing shard — so that
+// its merge position relative to same-time events is a function of the
 // round structure alone, never of whether source and destination happen
-// to share a shard at this shard count (orderedBooking implies a
-// group, so Post is always legal here).
-func (n *Network) deliverOrdered(eng *sim.Engine, dest *Card, arrival sim.Time, pkt *Packet) {
-	eng.Post(dest.Eng.Shard(), arrival, false, func() { dest.rxQ.TryPut(pkt) })
-}
-
-// forwardSharded is forward for a sharded torus: hops whose source node
-// lives on the executing shard are booked in place, and when the path
-// reaches a node owned by another shard the remainder is posted there as
-// an infra message stamped at the packet's injection time (exactly the
-// information the serial forward loop carries — all hop times are
-// computed, never read from a clock, so timestamps stay bit-identical).
-// On arrival the delivery is posted to the destination card's shard as a
-// counted event — the same one event the serial path schedules — and the
-// routing tally is folded back to the source card's shard in injection
-// order. A mid-route dead end accounts the loss on both ends via posts.
-//
-// eng is the engine of the shard this call executes on; src.Eng on the
-// first call from the injector.
-func (n *Network) forwardSharded(src *Card, pkt *Packet, dest *Card,
-	cur torus.Coord, at, injT sim.Time, wire units.ByteSize, tally routeTally, eng *sim.Engine) {
-
-	for cur != dest.Coord {
-		owner := n.cards[n.Dims.Rank(cur)].Eng
-		if owner != eng {
-			c2, a2, t2 := cur, at, tally
-			eng.Post(owner.Shard(), injT, true, func() {
-				n.forwardSharded(src, pkt, dest, c2, a2, injT, wire, t2, owner)
-			})
-			return
-		}
-		dec, ok := n.nextHop(cur, dest.Coord, at, wire)
-		if !ok {
-			n.finishShardedLoss(src, pkt, dest, tally, injT, at, eng)
-			return
-		}
-		tally.add(dec)
-		rank := n.Dims.Rank(cur)
-		start, end := n.reserveHop(rank, dec.Dir, at, wire)
-		n.traceHop(n.cards[rank].Rec, pkt, rank, dec, start, end)
-		at = end.Add(n.hopLat)
-		cur = n.Dims.Neighbor(cur, dec.Dir)
+// to share a shard at this shard count; packets arriving at one card at
+// the same time queue in hop-key order, whichever shards sent them.
+func (n *Network) deliverOrdered(eng *sim.Engine, dest *Card, arrival sim.Time, key uint64, pkt *Packet) {
+	deliver := func() { dest.rxQ.TryPut(pkt) }
+	if !n.sharded {
+		eng.At(arrival, deliver)
+		return
 	}
-	// Delivered: one counted event at the computed arrival, like the
-	// serial injector's Eng.At(arrival, ...).
-	eng.Post(dest.Eng.Shard(), at, false, func() { dest.rxQ.TryPut(pkt) })
-	eng.Post(src.Eng.Shard(), injT, true, func() { src.accountRouting(pkt, tally) })
+	eng.PostTied(dest.Eng.Shard(), arrival, key, deliver)
 }
 
-// finishShardedLoss is the sharded tail of a mid-route dead end: the
-// source card accounts the routing decisions and the loss, the
-// destination gets its credit back and learns the bytes will never
-// arrive. Serial code does all of this inline with zero events, so both
-// posts are infra.
-func (n *Network) finishShardedLoss(src *Card, pkt *Packet, dest *Card,
-	tally routeTally, injT, lossT sim.Time, eng *sim.Engine) {
-
-	eng.Post(src.Eng.Shard(), injT, true, func() {
-		src.accountRouting(pkt, tally)
-		src.stats.UnroutablePackets++
-		if src.Rec.Enabled() {
-			src.Rec.Emit(src.Eng.Now(), src.Name+".inject", "unroutable", int64(pkt.Bytes),
-				fmt.Sprintf("lost mid-route toward rank %d", pkt.Job.DstRank))
-		}
-	})
-	eng.Post(dest.Eng.Shard(), lossT, true, func() {
-		dest.creditRelease(dest.Eng.Now())
-		dest.rxWireLoss(pkt)
-	})
+// onCard runs fn against card c's state at time t from an event executing
+// on behalf of card self: inline when c is self or the torus is serial,
+// otherwise as an infra post to c's shard — even when both cards share a
+// shard at this shard count, so the events a group executes, and with
+// them its round structure, are the same at every shard count.
+func onCard(self, c *Card, t sim.Time, fn func()) {
+	if c == self || !c.Net.sharded {
+		fn()
+		return
+	}
+	self.Eng.Post(c.Eng.Shard(), t, true, fn)
 }
 
 // Reachable reports whether the router can carry traffic from a to b

@@ -79,10 +79,10 @@ type TXJob struct {
 	enqueued sim.Time
 
 	srcRank int
-	// routedAround marks that some packet of the job was detoured around
-	// a link marked down; the injector counts the job once, on its last
-	// packet (CardStats.RoutedAroundJobs).
-	routedAround bool
+	// routedAround is set (atomically, 0 -> 1) when some packet of the
+	// job is detoured around a link marked down; the source card counts
+	// the job once, on the first such hop (CardStats.RoutedAroundJobs).
+	routedAround int32
 
 	// get carries the request/response bookkeeping of GET-class jobs.
 	get *getMeta

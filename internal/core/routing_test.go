@@ -254,6 +254,108 @@ func TestWireLossDrainsDamagedJob(t *testing.T) {
 	}
 }
 
+// A link dying past the first hop dead-ends packets mid-route: every
+// packet still crosses the injector's hop, the ones arriving after the
+// cut are lost at the intermediate node, and the receiver drains the
+// damaged job.
+func TestMidRouteDeadEndDrainsDamagedJob(t *testing.T) {
+	eng, cl, eps, bufs := routedRing(t, route.Config{}, nil)
+	defer eng.Shutdown()
+	const msg = 256 * units.KB // 64 packets, 0 -> 1 -> 2 on X+ links
+
+	eng.Go("send", func(p *sim.Proc) {
+		if _, err := eps[0].PutBuffer(p, 2, bufs[2], bufs[0], msg, rdma.PutFlags{}); err != nil {
+			t.Error(err)
+		}
+		eps[0].WaitSend(p)
+	})
+	eng.At(sim.Time(50*sim.Microsecond), func() {
+		cl.Net.SetLinkState(core.LinkID{Coord: torus.Coord{X: 1}, Dir: torus.XPlus}, false)
+	})
+	eng.Run()
+
+	src, dst := cl.Net.Card(0).Stats(), cl.Net.Card(2).Stats()
+	if src.UnroutablePackets == 0 || src.UnroutablePackets >= 64 {
+		t.Fatalf("want a partial loss, got %d of 64 packets lost", src.UnroutablePackets)
+	}
+	if dst.RXPackets+src.UnroutablePackets != 64 {
+		t.Fatalf("packets unaccounted: %d delivered + %d lost != 64", dst.RXPackets, src.UnroutablePackets)
+	}
+	links := cl.Net.LinkStats()
+	first, _ := linkByName(links, "(0,0,0)X+")
+	second, _ := linkByName(links, "(1,0,0)X+")
+	if first.Packets != 64 || second.Packets != dst.RXPackets {
+		t.Fatalf("hop counts: first link %d (want 64), second %d (want %d delivered)",
+			first.Packets, second.Packets, dst.RXPackets)
+	}
+	if dst.IncompleteRXJobs != 1 {
+		t.Fatalf("damaged job not drained: IncompleteRXJobs = %d", dst.IncompleteRXJobs)
+	}
+	if got := cl.Net.Card(2).PendingRXJobs(); got != 0 {
+		t.Fatalf("job progress stranded: PendingRXJobs = %d", got)
+	}
+}
+
+// A mid-route dead end on a sharded torus accounts the loss on both
+// ends across shard boundaries — the source card's counters on its
+// shard, the destination's credit and drain on its own — exactly like
+// the serial engine.
+func TestMidRouteDeadEndAcrossShards(t *testing.T) {
+	run := func(shards int) (src, dst core.CardStats, pending int) {
+		eng := sim.New()
+		defer eng.Shutdown()
+		cfg := core.DefaultConfig()
+		dims := torus.Dims{X: 8, Y: 1, Z: 1}
+		engOf := func(i int) *sim.Engine { return eng }
+		if shards > 1 {
+			g := sim.NewGroup(eng, shards, cfg.HopLatency)
+			engOf = func(i int) *sim.Engine { return g.Engine(i * shards / dims.X) }
+		}
+		cl, err := cluster.New(eng, nil, dims, dims.X, func(i int) cluster.NodeConfig {
+			return cluster.NodeConfig{Card: &cfg, Eng: engOf(i)}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rank 2 sends to rank 5 along 2 -> 3 -> 4 -> 5; the cut link out
+		// of rank 4 is past the slab boundary of a 2-shard group.
+		cl.Net.SetLinkState(core.LinkID{Coord: torus.Coord{X: 4}, Dir: torus.XPlus}, false)
+		srcCard, dstCard := cl.Nodes[2].Card, cl.Nodes[5].Card
+		srcEP, dstEP := rdma.NewEndpoint(srcCard), rdma.NewEndpoint(dstCard)
+		var srcBuf, dstBuf *rdma.Buffer
+		dstCard.Eng.Go("recv-setup", func(p *sim.Proc) {
+			var err error
+			if dstBuf, err = dstEP.NewHostBuffer(p, 64*units.KB); err != nil {
+				t.Error(err)
+			}
+		})
+		eng.Run()
+		srcCard.Eng.Go("send", func(p *sim.Proc) {
+			var err error
+			if srcBuf, err = srcEP.NewHostBuffer(p, 64*units.KB); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := srcEP.PutBuffer(p, 5, dstBuf, srcBuf, 16*units.KB, rdma.PutFlags{}); err != nil {
+				t.Error(err)
+			}
+			srcEP.WaitSend(p)
+		})
+		eng.Run()
+		return srcCard.Stats(), dstCard.Stats(), dstCard.PendingRXJobs()
+	}
+	src1, dst1, pend1 := run(1)
+	if src1.UnroutablePackets != 4 || dst1.IncompleteRXJobs != 1 || pend1 != 0 {
+		t.Fatalf("serial: %d packets lost (want 4), %d incomplete jobs (want 1), %d pending",
+			src1.UnroutablePackets, dst1.IncompleteRXJobs, pend1)
+	}
+	src2, dst2, pend2 := run(2)
+	if src2 != src1 || dst2 != dst1 || pend2 != pend1 {
+		t.Fatalf("2 shards differ from serial:\nsrc %+v\n    %+v\ndst %+v\n    %+v",
+			src2, src1, dst2, dst1)
+	}
+}
+
 // The dimension-ordered router is fault-blind: traffic aimed across a
 // dead link is dropped and accounted, never silently carried.
 func TestDimensionOrderDropsOnDeadLink(t *testing.T) {

@@ -28,6 +28,9 @@ type IBComm struct {
 	sendq   *sim.Queue[*ibSend]
 	rxState map[msgKey]*rxAssembly
 	h2d     *cuda.Stream
+	// msgIDs numbers the world's messages; shared by its communicators,
+	// which all run on the cluster engine.
+	msgIDs *uint64
 }
 
 type ibSend struct {
@@ -61,6 +64,7 @@ func NewIBWorld(cl *cluster.Cluster, n int, gpuIdx int, cfg Config) ([]*IBComm, 
 		return nil, fmt.Errorf("mpigpu: %d ranks on %d nodes", n, len(cl.Nodes))
 	}
 	comms := make([]*IBComm, n)
+	msgIDs := new(uint64)
 	for i := 0; i < n; i++ {
 		node := cl.Nodes[i]
 		if node.HCA == nil {
@@ -78,6 +82,7 @@ func NewIBWorld(cl *cluster.Cluster, n int, gpuIdx int, cfg Config) ([]*IBComm, 
 			sendq:   sim.NewQueue[*ibSend](cl.Eng, fmt.Sprintf("ib%d.sendq", i), 0),
 			rxState: map[msgKey]*rxAssembly{},
 			h2d:     ctx.NewStream(fmt.Sprintf("ib%d.h2d", i)),
+			msgIDs:  msgIDs,
 		}
 		c.order = newOrderedDelivery(c.in, n)
 		comms[i] = c
@@ -113,16 +118,14 @@ func (c *IBComm) Recv(p *sim.Proc, src int) Msg {
 	return c.in.queues[src].Get(p)
 }
 
-var ibMsgID uint64
-
 // runSender is the MPI progress engine: GPU sources pay the pointer check
 // and protocol overhead, then either a synchronous staging copy (small) or
 // a chunked pipeline of async copies interleaved with sends (large).
 func (c *IBComm) runSender(p *sim.Proc) {
 	for {
 		s := c.sendq.Get(p)
-		ibMsgID++
-		id := ibMsgID
+		*c.msgIDs++
+		id := *c.msgIDs
 		seq := c.sendSeq[s.dst]
 		c.sendSeq[s.dst]++
 		if !s.gpuSrc {

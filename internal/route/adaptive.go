@@ -18,9 +18,13 @@ import (
 // A packet therefore always has the deterministic dimension-ordered path
 // available, every deviation is justified by measured backlog at decision
 // time, and a given (network state, seed) pair reproduces the same routes.
+//
+// The router is safe for concurrent use: in a sharded world each shard
+// asks it about hops out of its own nodes, whose links — the only ones
+// QueueDelay probes — that shard alone books.
 type AdaptiveMinimal struct {
 	seed  int64
-	stats Stats
+	stats counters
 }
 
 // NewAdaptiveMinimal builds the adaptive router. seed varies tie-breaking
@@ -39,7 +43,7 @@ func (r *AdaptiveMinimal) NextHop(v View, cur, dst torus.Coord, at sim.Time, wir
 	if len(cands) == 0 {
 		return Decision{}, false
 	}
-	r.stats.Decisions++
+	r.stats.decisions.Add(1)
 	escape := cands[0] // the dimension-ordered choice
 	if len(cands) == 1 {
 		return Decision{Dir: escape}, true
@@ -61,11 +65,11 @@ func (r *AdaptiveMinimal) NextHop(v View, cur, dst torus.Coord, at sim.Time, wir
 		// No candidate strictly beats the escape channel; stay on the
 		// deterministic dimension-ordered path.
 		if escapeDelay > 0 {
-			r.stats.Escapes++
+			r.stats.escapes.Add(1)
 		}
 		return Decision{Dir: escape}, true
 	}
-	r.stats.Deviations++
+	r.stats.deviations.Add(1)
 	if len(tied) == 1 || r.seed == 0 {
 		return Decision{Dir: tied[0], Deviated: true}, true
 	}
@@ -76,7 +80,7 @@ func (r *AdaptiveMinimal) NextHop(v View, cur, dst torus.Coord, at sim.Time, wir
 func (r *AdaptiveMinimal) Reachable(v View, a, b torus.Coord) bool { return true }
 
 // Stats implements Router.
-func (r *AdaptiveMinimal) Stats() Stats { return r.stats }
+func (r *AdaptiveMinimal) Stats() Stats { return r.stats.snapshot() }
 
 // mix hashes the decision context into a deterministic tie-break value
 // (splitmix64-style finalization; no global RNG state, so parallel

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"sync"
+
 	"apenetsim/internal/sim"
 	"apenetsim/internal/torus"
 	"apenetsim/internal/units"
@@ -18,8 +20,14 @@ import (
 // view's StateEpoch changes (a link was marked up or down). When a
 // destination's field has no finite entry for the current node the torus
 // is partitioned: NextHop and Reachable report it instead of hanging.
+//
+// The router is safe for concurrent use by the shards of a sharded
+// world: mu guards the cache, and a cached field is never written again,
+// so callers read it unlocked. Fields are a pure function of the link
+// state, so which shard computes one first does not matter.
 type FaultAware struct {
-	stats Stats
+	stats counters
+	mu    sync.Mutex
 	epoch uint64
 	dist  map[int][]int // dst rank -> per-node hops to dst (-1 unreachable)
 }
@@ -35,6 +43,8 @@ func (r *FaultAware) Name() string { return "fault" }
 // a neighbor w of a settled node u is one hop further from dst when the
 // directed link w->u is up.
 func (r *FaultAware) table(v View, dst torus.Coord) []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.dist == nil || v.StateEpoch() != r.epoch {
 		r.epoch = v.StateEpoch()
 		r.dist = map[int][]int{}
@@ -85,11 +95,11 @@ func (r *FaultAware) NextHop(v View, cur, dst torus.Coord, at sim.Time, wire uni
 	dc := t[d.Rank(cur)]
 	if dc <= 0 {
 		if dc < 0 {
-			r.stats.Unreachable++
+			r.stats.unreachable.Add(1)
 		}
 		return Decision{}, false
 	}
-	r.stats.Decisions++
+	r.stats.decisions.Add(1)
 	if dor, ok := d.FirstHop(cur, dst); ok && v.LinkUp(cur, dor) &&
 		t[d.Rank(d.Neighbor(cur, dor))] == dc-1 {
 		return Decision{Dir: dor}, true
@@ -102,12 +112,12 @@ func (r *FaultAware) NextHop(v View, cur, dst torus.Coord, at sim.Time, wire uni
 		if w == cur || t[d.Rank(w)] != dc-1 {
 			continue
 		}
-		r.stats.Deviations++
+		r.stats.deviations.Add(1)
 		return Decision{Dir: dir, Deviated: true, FaultDetour: true}, true
 	}
 	// Unreachable from here despite a finite distance cannot happen: a
 	// finite dc implies some up link reaches a node at dc-1.
-	r.stats.Unreachable++
+	r.stats.unreachable.Add(1)
 	return Decision{}, false
 }
 
@@ -119,9 +129,9 @@ func (r *FaultAware) Reachable(v View, a, b torus.Coord) bool {
 	if r.table(v, b)[v.Torus().Rank(a)] >= 0 {
 		return true
 	}
-	r.stats.Unreachable++
+	r.stats.unreachable.Add(1)
 	return false
 }
 
 // Stats implements Router.
-func (r *FaultAware) Stats() Stats { return r.stats }
+func (r *FaultAware) Stats() Stats { return r.stats.snapshot() }

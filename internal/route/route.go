@@ -71,6 +71,22 @@ type Stats struct {
 	Unreachable int64
 }
 
+// counters is the atomic form of Stats that routers keep: one router
+// serves every shard of a sharded world, so concurrent NextHop calls add
+// to the same counters.
+type counters struct {
+	decisions, deviations, escapes, unreachable atomic.Int64
+}
+
+func (c *counters) snapshot() Stats {
+	return Stats{
+		Decisions:   c.decisions.Load(),
+		Deviations:  c.deviations.Load(),
+		Escapes:     c.escapes.Load(),
+		Unreachable: c.unreachable.Load(),
+	}
+}
+
 // Decision is one chosen hop plus the router's own account of it: only
 // the router knows cheaply whether it left the dimension-ordered path
 // and why, so it reports that instead of the network re-deriving it.
@@ -109,12 +125,12 @@ type Router interface {
 // down link on the dimension-ordered path fails the packet rather than
 // detouring (the network drops it and accounts the loss).
 //
-// Its only state is the decision counter, kept atomic: it is the one
-// router sharded worlds may use (core.Network calls NextHop from
-// whichever shard owns the hop's source node), and the sum of decisions
-// is the same whatever order the shards add theirs.
+// Its only state is the decision counter, kept atomic like every
+// router's: sharded worlds call NextHop from whichever shard owns the
+// hop's source node, and the sum of decisions is the same whatever order
+// the shards add theirs.
 type DimensionOrder struct {
-	decisions int64
+	stats counters
 }
 
 // NewDimensionOrder builds the static router.
@@ -129,7 +145,7 @@ func (r *DimensionOrder) NextHop(v View, cur, dst torus.Coord, at sim.Time, wire
 	if !ok {
 		return Decision{}, false
 	}
-	atomic.AddInt64(&r.decisions, 1)
+	r.stats.decisions.Add(1)
 	return Decision{Dir: dir}, true
 }
 
@@ -137,9 +153,7 @@ func (r *DimensionOrder) NextHop(v View, cur, dst torus.Coord, at sim.Time, wire
 func (r *DimensionOrder) Reachable(v View, a, b torus.Coord) bool { return true }
 
 // Stats implements Router.
-func (r *DimensionOrder) Stats() Stats {
-	return Stats{Decisions: atomic.LoadInt64(&r.decisions)}
-}
+func (r *DimensionOrder) Stats() Stats { return r.stats.snapshot() }
 
 // Mode selects a router implementation.
 type Mode int

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,50 @@ func TestFaultAwareEpochInvalidation(t *testing.T) {
 	v.epoch++
 	if hops := walk(t, r, v, a, b); hops != 1 {
 		t.Fatalf("post-restore hops = %d, want 1", hops)
+	}
+}
+
+// One router serves every shard of a sharded world: concurrent NextHop
+// and Reachable calls must pick the same hops as a single caller would
+// and lose no count. Run under -race to check the synchronization.
+func TestRoutersConcurrentUse(t *testing.T) {
+	dims := torus.Dims{X: 4, Y: 4, Z: 2}
+	v := newFakeView(dims)
+	v.cut(torus.Coord{X: 1, Y: 1, Z: 0}, torus.XPlus)
+	v.backlog[fakeLink{torus.Coord{}, torus.XPlus}] = sim.Microsecond
+	const workers = 4
+	for _, mode := range []Mode{ModeDimensionOrder, ModeAdaptive, ModeFaultAware} {
+		// Every ordered pair of nodes, once per worker; each worker checks
+		// its hops against a second router asked by one caller.
+		r, ref := Config{Mode: mode, Seed: 7}.New(), Config{Mode: mode, Seed: 7}.New()
+		want := map[[2]int]Decision{}
+		for a := 0; a < dims.Nodes(); a++ {
+			for b := 0; b < dims.Nodes(); b++ {
+				if a != b {
+					want[[2]int{a, b}], _ = ref.NextHop(v, dims.CoordOf(a), dims.CoordOf(b), 0, 4096)
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for pair, dec := range want {
+					a, b := dims.CoordOf(pair[0]), dims.CoordOf(pair[1])
+					r.Reachable(v, a, b)
+					if got, _ := r.NextHop(v, a, b, 0, 4096); got != dec {
+						t.Errorf("%s: %v->%v concurrently %+v, alone %+v", r.Name(), a, b, got, dec)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		got, one := r.Stats(), ref.Stats()
+		if got.Decisions != workers*one.Decisions || got.Deviations != workers*one.Deviations ||
+			got.Escapes != workers*one.Escapes {
+			t.Errorf("%s: %d workers counted %+v, one caller %+v", r.Name(), workers, got, one)
+		}
 	}
 }
 

@@ -40,6 +40,11 @@ type Event struct {
 	// unkeyed ones and among themselves in key order — regardless of
 	// which shard posted them or in what sequence. See AtInfraKeyed.
 	key uint64
+	// tie, when non-zero, orders an ingested unkeyed event among the
+	// ingested events of equal time by model state instead of by its
+	// sender's (shard, seq): tied events run after untied ones and in tie
+	// order among themselves. See PostTied.
+	tie uint64
 }
 
 // Time returns the time at which the event is scheduled to fire.
@@ -54,7 +59,7 @@ func (ev *Event) Time() Time { return ev.t }
 type Engine struct {
 	now     Time
 	workEnd Time // time of the last executed non-infra event
-	heap    []*Event
+	heap    []heapEntry
 	seq     uint64
 	nsteps  uint64
 	peak    int // high-water mark of the event queue
@@ -321,7 +326,8 @@ func (e *Engine) Group() *Group { return e.group }
 
 // heap operations: min-heap ordered by (t, seq); events ingested from
 // another shard's mailbox sort after local events at the same time,
-// ordered among themselves by the sender's (shard, seq). The key is a
+// ordered among themselves by tie (see PostTied), then by the sender's
+// (shard, seq). The key is a
 // pure function of timestamps and sequence numbers, so the merge order
 // is independent of worker scheduling.
 
@@ -345,33 +351,50 @@ func eventLess(a, b *Event) bool {
 	if !a.ext {
 		return a.seq < b.seq
 	}
+	if a.tie != b.tie {
+		return a.tie < b.tie
+	}
 	if a.extSrc != b.extSrc {
 		return a.extSrc < b.extSrc
 	}
 	return a.extSeq < b.extSeq
 }
 
+// heapEntry is one heap slot: the event's time rides next to the pointer,
+// so the comparisons of a sift resolve without loading the events unless
+// their times tie.
+type heapEntry struct {
+	t  Time
+	ev *Event
+}
+
+func entryLess(a, b heapEntry) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return eventLess(a.ev, b.ev)
+}
+
 func (e *Engine) push(ev *Event) {
-	ev.idx = len(e.heap)
-	e.heap = append(e.heap, ev)
+	e.heap = append(e.heap, heapEntry{ev.t, ev})
 	if len(e.heap) > e.peak {
 		e.peak = len(e.heap)
 	}
-	e.up(ev.idx)
+	e.up(len(e.heap) - 1)
 }
 
 func (e *Engine) peek() *Event {
 	if len(e.heap) == 0 {
 		return nil
 	}
-	return e.heap[0]
+	return e.heap[0].ev
 }
 
 func (e *Engine) pop() *Event {
 	if len(e.heap) == 0 {
 		return nil
 	}
-	ev := e.heap[0]
+	ev := e.heap[0].ev
 	e.remove(ev)
 	return ev
 }
@@ -381,48 +404,52 @@ func (e *Engine) remove(ev *Event) {
 	last := len(e.heap) - 1
 	if i != last {
 		e.heap[i] = e.heap[last]
-		e.heap[i].idx = i
 	}
 	e.heap = e.heap[:last]
 	ev.idx = -1
-	if i < len(e.heap) {
-		e.down(i)
+	if i < len(e.heap) && e.down(i) == i {
 		e.up(i)
 	}
 }
 
+// up and down sift the entry at i through a hole: parents or children
+// move one slot each, and the entry is written once at its final slot.
+
 func (e *Engine) up(i int) {
+	x := e.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(e.heap[i], e.heap[parent]) {
+		if !entryLess(x, e.heap[parent]) {
 			break
 		}
-		e.swap(i, parent)
+		e.heap[i] = e.heap[parent]
+		e.heap[i].ev.idx = i
 		i = parent
 	}
+	e.heap[i] = x
+	x.ev.idx = i
 }
 
-func (e *Engine) down(i int) {
+// down returns the entry's final slot.
+func (e *Engine) down(i int) int {
+	x := e.heap[i]
 	n := len(e.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(e.heap[l], e.heap[small]) {
-			small = l
+		small := 2*i + 1
+		if small >= n {
+			break
 		}
-		if r < n && eventLess(e.heap[r], e.heap[small]) {
+		if r := small + 1; r < n && entryLess(e.heap[r], e.heap[small]) {
 			small = r
 		}
-		if small == i {
-			return
+		if !entryLess(e.heap[small], x) {
+			break
 		}
-		e.swap(i, small)
+		e.heap[i] = e.heap[small]
+		e.heap[i].ev.idx = i
 		i = small
 	}
-}
-
-func (e *Engine) swap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.heap[i].idx = i
-	e.heap[j].idx = j
+	e.heap[i] = x
+	x.ev.idx = i
+	return i
 }

@@ -74,6 +74,7 @@ type extMsg struct {
 	t     Time
 	seq   uint64
 	key   uint64 // non-zero: model-level tie key (see Event.key)
+	tie   uint64 // non-zero: model-level order among ingested events (see Event.tie)
 	infra bool
 	fn    func()
 }
@@ -143,13 +144,7 @@ func (g *Group) Running() bool { return g.running }
 // rounds). t may lie in the destination's past; it then executes
 // retroactively at the next barrier.
 func (e *Engine) Post(dst int, t Time, infra bool, fn func()) {
-	g := e.group
-	if g == nil {
-		panic("sim: Post on an engine outside a group")
-	}
-	src := e.shard
-	g.outbox[src][dst] = append(g.outbox[src][dst], extMsg{t: t, seq: g.postSeq[src], infra: infra, fn: fn})
-	g.postSeq[src]++
+	e.post("Post", dst, extMsg{t: t, infra: infra, fn: fn})
 }
 
 // PostKeyed is Post with a model-level tie key (see AtInfraKeyed): the
@@ -160,13 +155,32 @@ func (e *Engine) Post(dst int, t Time, infra bool, fn func()) {
 // never ingested retroactively: every shard sees all same-time keyed
 // events before executing any of them.
 func (e *Engine) PostKeyed(dst int, t Time, key uint64, fn func()) {
+	e.post("PostKeyed", dst, extMsg{t: t, key: key, infra: true, fn: fn})
+}
+
+// PostTied is a counted Post whose order among the events ingested for
+// the same time is the model-level tie (non-zero) rather than the
+// sender's (shard, seq): tied events execute after untied ingested ones
+// and in tie order among themselves, so same-time arrivals from
+// different senders — packets converging on one card — merge in one
+// order at every shard count. Like any unkeyed ingested event it runs
+// after the destination's local events of that time and before keyed
+// bookings.
+func (e *Engine) PostTied(dst int, t Time, tie uint64, fn func()) {
+	e.post("PostTied", dst, extMsg{t: t, tie: tie, fn: fn})
+}
+
+// post appends m, stamped with the sender's next sequence number, to the
+// outbox for shard dst.
+func (e *Engine) post(op string, dst int, m extMsg) {
 	g := e.group
 	if g == nil {
-		panic("sim: PostKeyed on an engine outside a group")
+		panic("sim: " + op + " on an engine outside a group")
 	}
 	src := e.shard
-	g.outbox[src][dst] = append(g.outbox[src][dst], extMsg{t: t, seq: g.postSeq[src], key: key, infra: true, fn: fn})
+	m.seq = g.postSeq[src]
 	g.postSeq[src]++
+	g.outbox[src][dst] = append(g.outbox[src][dst], m)
 }
 
 // ingest drains every mailbox into the destination heaps. The heap key
@@ -183,7 +197,7 @@ func (g *Group) ingest() bool {
 			e := g.engines[dst]
 			for _, m := range msgs {
 				ev := e.alloc()
-				ev.t, ev.fn, ev.key = m.t, m.fn, m.key
+				ev.t, ev.fn, ev.key, ev.tie = m.t, m.fn, m.key, m.tie
 				ev.ext, ev.extSrc, ev.extSeq, ev.infra = true, src, m.seq, m.infra
 				ev.pooled = true
 				e.push(ev)

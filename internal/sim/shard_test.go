@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -192,6 +193,33 @@ func TestShardRetroactivePost(t *testing.T) {
 	eng.Run()
 	if sawNow != Time(4*Nanosecond) {
 		t.Fatalf("retroactive post executed at %v, want clock rewound to 4ns", sawNow)
+	}
+}
+
+// TestShardPostTiedOrder checks that same-time tied posts execute in tie
+// order whatever shard sent them, after untied posts of that time, and
+// count as steps.
+func TestShardPostTiedOrder(t *testing.T) {
+	acct := &Account{}
+	eng := NewWithAccount(acct)
+	g := NewGroup(eng, 3, 10*Nanosecond)
+	var got []string
+	at := Time(20 * Nanosecond)
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	// Shard 2 holds the lowest tie, shard 1 the highest; shard 0's untied
+	// post goes first regardless.
+	g.Engine(2).At(Time(1*Nanosecond), func() {
+		g.Engine(2).PostTied(0, at, 1, log("tie1"))
+		g.Engine(2).PostTied(0, at, 3, log("tie3"))
+	})
+	g.Engine(1).At(Time(1*Nanosecond), func() { g.Engine(1).PostTied(0, at, 2, log("tie2")) })
+	g.Engine(0).At(Time(1*Nanosecond), func() { g.Engine(0).Post(0, at, false, log("untied")) })
+	eng.Run()
+	if want := "untied tie1 tie2 tie3"; strings.Join(got, " ") != want {
+		t.Fatalf("execution order %q, want %q", strings.Join(got, " "), want)
+	}
+	if steps := acct.Steps(); steps != 7 {
+		t.Fatalf("account has %d steps, want 7 (3 local + 4 counted posts)", steps)
 	}
 }
 

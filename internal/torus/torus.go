@@ -3,7 +3,11 @@
 // then Z, taking the shorter wrap-around direction in each dimension.
 package torus
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Dims is the size of a torus in each dimension. The paper's Cluster I is
 // {4,2,1}.
@@ -51,6 +55,24 @@ func (d Dims) Nodes() int { return d.X * d.Y * d.Z }
 func (d Dims) Valid() bool { return d.X > 0 && d.Y > 0 && d.Z > 0 }
 
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z) }
+
+// ParseDims parses the command-line form "X,Y,Z" (e.g. "8,8,8"; spaces
+// around each number are allowed) into positive torus dimensions.
+func ParseDims(s string) (Dims, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 3 {
+		return Dims{}, fmt.Errorf("want X,Y,Z (e.g. 8,8,8), got %q", s)
+	}
+	var v [3]int
+	for i, p := range parts {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || n < 1 {
+			return Dims{}, fmt.Errorf("bad dimension %q in %q", p, s)
+		}
+		v[i] = n
+	}
+	return Dims{X: v[0], Y: v[1], Z: v[2]}, nil
+}
 
 // Contains reports whether c is a valid coordinate.
 func (d Dims) Contains(c Coord) bool {

@@ -5,6 +5,31 @@ import (
 	"testing/quick"
 )
 
+func TestParseDims(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Dims
+		ok   bool
+	}{
+		{"8,8,8", Dims{8, 8, 8}, true},
+		{"4,2,1", Dims{4, 2, 1}, true},
+		{" 16 , 16, 32 ", Dims{16, 16, 32}, true},
+		{"", Dims{}, false},
+		{"8,8", Dims{}, false},
+		{"8,8,8,8", Dims{}, false},
+		{"8x8x8", Dims{}, false},
+		{"0,2,2", Dims{}, false},
+		{"4,-2,2", Dims{}, false},
+		{"4,two,2", Dims{}, false},
+		{"4,2,", Dims{}, false},
+	} {
+		got, err := ParseDims(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseDims(%q) = %v, %v; want %v (ok=%v)", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
 func TestRankCoordRoundTrip(t *testing.T) {
 	d := Dims{4, 2, 3}
 	for r := 0; r < d.Nodes(); r++ {

@@ -6,6 +6,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -73,6 +74,9 @@ func ParseByteSize(s string) (ByteSize, error) {
 		mult = GB
 	default:
 		return 0, fmt.Errorf("units: bad size suffix %q in %q", s[i:], orig)
+	}
+	if n > math.MaxInt64/int64(mult) {
+		return 0, fmt.Errorf("units: size %q overflows int64 bytes", orig)
 	}
 	v := ByteSize(n) * mult
 	if neg {

@@ -111,6 +111,9 @@ func TestParseByteSizeForms(t *testing.T) {
 	}{
 		{"32", 32}, {"32B", 32}, {"4K", 4 * KB}, {"4KB", 4 * KB},
 		{"1M", 1 * MB}, {"1MB", 1 * MB}, {"2G", 2 * GB}, {"2GB", 2 * GB},
+		// The largest sizes each suffix can carry without overflowing.
+		{"9223372036854775807", math.MaxInt64},
+		{"8589934591G", 8589934591 * GB}, {"-8589934591G", -8589934591 * GB},
 	}
 	for _, c := range cases {
 		got, err := ParseByteSize(c.in)
@@ -118,11 +121,37 @@ func TestParseByteSizeForms(t *testing.T) {
 			t.Fatalf("ParseByteSize(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"", "K", "4X", "4.5K", "x32", "-"} {
-		if _, err := ParseByteSize(bad); err == nil {
-			t.Fatalf("ParseByteSize(%q) accepted", bad)
+	for _, bad := range []string{"", "K", "4X", "4.5K", "x32", "-",
+		// n * suffix overflows int64: rejected, never wrapped negative.
+		"8589934592G", "-8589934592G", "8796093022208M", "9007199254740992K",
+		"9223372036854775808"} {
+		if got, err := ParseByteSize(bad); err == nil {
+			t.Fatalf("ParseByteSize(%q) accepted as %d", bad, int64(got))
 		}
 	}
+}
+
+// FuzzParseByteSize checks that every size the parser accepts renders
+// through String and parses back to itself; the seed corpus lives in
+// testdata/fuzz/FuzzParseByteSize. Run with
+// `go test -fuzz FuzzParseByteSize ./internal/units`.
+func FuzzParseByteSize(f *testing.F) {
+	for _, s := range []string{"0", "32", "4K", "1MB", "2G", "-4K", "8589934591G", "8589934592G", "1000"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := ParseByteSize(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseByteSize(v.String())
+		if err != nil {
+			t.Fatalf("ParseByteSize(%q) = %d, but its rendering %q does not parse: %v", s, int64(v), v.String(), err)
+		}
+		if back != v {
+			t.Fatalf("ParseByteSize(%q) = %d, round trip through %q gives %d", s, int64(v), v.String(), int64(back))
+		}
+	})
 }
 
 func TestByteSizeTextMarshal(t *testing.T) {
