@@ -17,14 +17,13 @@ import (
 // — this experiment is the regression guard for that.
 //
 // Per torus size it runs the LQCD inner-loop pattern (halo exchange +
-// dimension-ordered allreduce) on cards metering links in sampled mode
-// (core.LinkMeterSampled — the at-scale configuration) and reports the
-// executed event count and the event-queue high-water mark from a
-// per-size sim.Account. Both are deterministic, so the report diffs at 0%
-// tolerance like every other experiment; the wall-clock throughput
-// (sim-steps/sec) is deliberately NOT a report cell — it is surfaced per
-// experiment in the run JSON (steps_per_sec) and the apebench progress
-// output, where nondeterminism cannot poison baselines.
+// dimension-ordered allreduce) and reports the executed event count and
+// the event-queue high-water mark from a per-size sim.Account. Both are
+// deterministic, so the report diffs at 0% tolerance like every other
+// experiment; the wall-clock throughput (sim-steps/sec) is deliberately
+// NOT a report cell — it is surfaced per experiment in the run JSON
+// (steps_per_sec) and the apebench progress output, where
+// nondeterminism cannot poison baselines.
 
 // scaleLadder is the default sweep; with Options.Scale the sweep climbs
 // scaleLadderFull instead.
@@ -61,7 +60,6 @@ func ScaleSweep(o Options) *Report {
 		eng := sim.NewWithAccount(acct)
 		cfg := o.config()
 		cfg.Account = acct
-		cfg.LinkMeterMode = core.LinkMeterSampled
 		w, err := coll.NewWorld(eng, coll.Config{
 			Dims:      dims,
 			Card:      &cfg,
@@ -93,18 +91,16 @@ func ScaleSweep(o Options) *Report {
 	}
 	rep := &Report{
 		ID:     "scale-sweep",
-		Title:  "Event-engine cost of the LQCD inner loop vs torus size (sampled link metering)",
+		Title:  "Event-engine cost of the LQCD inner loop vs torus size",
 		Header: []string{"torus", "cards", "halo", "allreduce", "sim steps", "peak pending", "steps/card"},
 		Units:  []string{"", "", "us", "us", "Msteps", "", ""},
 		Rows:   rows,
 		Notes: []string{
 			fmt.Sprintf("halo: %v per face; allreduce: %v vector, dimension-ordered rings (2(k-1) steps per dimension)", faceBytes, reduceBytes),
-			"links meter in sampled mode (core.LinkMeterSampled): counters are estimates, timing is exact",
 			"sim steps and peak pending are deterministic; wall-clock steps/sec is in the run JSON (steps_per_sec), not a cell",
 		},
 	}
 	rep.SetMeta("face_bytes", faceBytes.String())
 	rep.SetMeta("reduce_bytes", reduceBytes.String())
-	rep.SetMeta("link_meter", core.LinkMeterSampled.String())
 	return rep
 }

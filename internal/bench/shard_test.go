@@ -27,7 +27,7 @@ import (
 //
 // The reference is the serial engine (Shards: 1) for every experiment
 // except those whose credit grants fire retroactively under contention,
-// whose reference is the one-slab group (Shards: -1, see sim.NewGroup):
+// whose reference is the 2-shard group, compared at 4 and 8 shards:
 //
 //   - coll-a2a, coll-a2a-adaptive: the synchronized all-to-all burst;
 //   - route-hotspot: the transpose permutation's contended columns.
@@ -35,8 +35,8 @@ import (
 // There the group's barrier-deferred message protocol resumes blocked
 // injectors a barrier later than the serial engine's inline grant, which
 // reorders same-window link bookings. The deferral is a pure function of
-// event stamps, so the one-slab group is bit-identical to every sharded
-// run, which is exactly what this test pins.
+// event stamps, so every group is bit-identical at every shard count,
+// which is exactly what this test pins.
 //
 // One masked cell: scale-sweep's "peak pending" column reports the
 // event-queue high-water mark, which is a property of each engine's heap
@@ -63,9 +63,12 @@ func TestShardedEquivalence(t *testing.T) {
 			ref := referenceRuns(t, e)
 			refJSON := marshalMasked(t, e.ID, ref.first.Report)
 			counts := []int{2, 4, 8}
-			if !consumesShards(e.ID) {
+			switch {
+			case !consumesShards(e.ID):
 				// One shard request is enough to show it is ignored.
 				counts = counts[2:]
+			case groupReference[e.ID]:
+				counts = counts[1:] // 2 shards is the reference
 			}
 			for _, shards := range counts {
 				o := ref.opts
@@ -97,7 +100,7 @@ func consumesShards(id string) bool {
 }
 
 // groupReference names the experiments whose equivalence reference is
-// the one-slab group rather than the serial engine (see
+// the 2-shard group rather than the serial engine (see
 // TestShardedEquivalence).
 var groupReference = map[string]bool{"coll-a2a": true, "coll-a2a-adaptive": true, "route-hotspot": true}
 
@@ -130,7 +133,7 @@ func referenceRuns(t *testing.T, e Experiment) refRuns {
 			o.Dims = torus.Dims{X: 8, Y: 2, Z: 2}
 		}
 		if groupReference[e.ID] {
-			o.Shards = -1
+			o.Shards = 2
 		}
 		r := &Runner{Parallel: 1, Opts: o}
 		entry.runs = refRuns{opts: o, first: r.runOne(e), second: r.runOne(e)}

@@ -79,13 +79,11 @@ type Config struct {
 	// error (see MaxShards), and so is any group request on a card
 	// configuration with no positive hop latency (the group lookahead).
 	//
-	// -1 runs the one-slab group: every event on one engine, but with
-	// the group's barrier-deferred message protocol — the shard-count-
-	// invariant reference that sharded runs are bit-identical to (see
-	// sim.NewGroup). The serial engine differs from it only where
-	// credit grants fire retroactively under contention (all-to-all,
-	// the transpose hotspot): the group resumes those injectors a
-	// barrier later than the serial engine's inline grant.
+	// Groups give bit-identical results at every shard count. The serial
+	// engine differs from them only where credit grants fire
+	// retroactively under contention (all-to-all, the transpose
+	// hotspot): a group resumes those injectors a barrier later than the
+	// serial engine's inline grant.
 	Shards int
 }
 
@@ -167,7 +165,6 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 	// dimension and give each slab its own engine in a sim.Group (see
 	// Config.Shards).
 	shards := cfg.Shards
-	groupOne := shards == -1
 	if shards < 1 {
 		shards = 1
 	}
@@ -180,7 +177,7 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("coll: %d shards requested but torus %v slices into at most %d slabs along its longest axis (see MaxShards)",
 			shards, cfg.Dims, ax)
 	}
-	grouped := shards > 1 || groupOne
+	grouped := shards > 1
 	if grouped && cc.HopLatency <= 0 {
 		// The hop latency is the group lookahead: without one, a hop
 		// booked for another shard could land inside the window that
@@ -238,7 +235,7 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 func (w *World) Net() *core.Network { return w.Cl.Net }
 
 // Shards returns the shard count the world runs on (1 = the serial
-// engine or the one-slab group).
+// engine).
 func (w *World) Shards() int { return w.shards }
 
 // MaxShards returns the largest legal Config.Shards for a torus: the

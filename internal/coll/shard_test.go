@@ -16,11 +16,12 @@ import (
 // shardRun executes one representative SPMD program — a +X halo shift,
 // a barrier-timed all-to-neighbors burst, and a loopback-free drain — on
 // a 4x2x2 torus with the requested shard count, and returns everything
-// observable: per-rank timings, per-card stats, total counted sim steps,
-// and the final clock.
+// observable: per-rank timings, per-card stats, per-link stats, total
+// counted sim steps, and the final clock.
 type shardOutcome struct {
 	Durs  []sim.Duration
 	Stats []core.CardStats
+	Links []core.LinkStat
 	Steps uint64
 	Now   sim.Time
 }
@@ -66,7 +67,7 @@ func shardRun(t *testing.T, shards int, wantShards int) shardOutcome {
 			r.drainSends(p)
 		})
 	})
-	out := shardOutcome{Durs: durs, Now: eng.Now()}
+	out := shardOutcome{Durs: durs, Links: w.Net().LinkStats(), Now: eng.Now()}
 	for _, r := range w.Ranks {
 		out.Stats = append(out.Stats, r.node.Card.Stats())
 	}
@@ -81,10 +82,13 @@ func shardRun(t *testing.T, shards int, wantShards int) shardOutcome {
 }
 
 // TestShardedCollEquivalence pins the sharded world to the serial one:
-// identical per-rank timings, per-card statistics, final clock, and total
-// counted event steps at 1, 2, and 4 shards.
+// identical per-rank timings, per-card and per-link statistics, final
+// clock, and total counted event steps at 1, 2, and 4 shards.
 func TestShardedCollEquivalence(t *testing.T) {
 	serial := shardRun(t, 1, 1)
+	if len(serial.Links) == 0 {
+		t.Fatal("serial run metered no torus links")
+	}
 	for _, shards := range []int{2, 4} {
 		got := shardRun(t, shards, shards)
 		if !reflect.DeepEqual(got, serial) {
@@ -103,6 +107,9 @@ func TestShardedCollEquivalence(t *testing.T) {
 				if got.Stats[i] != serial.Stats[i] {
 					t.Errorf("shards=%d: card %d stats\n got %+v\nwant %+v", shards, i, got.Stats[i], serial.Stats[i])
 				}
+			}
+			if !reflect.DeepEqual(got.Links, serial.Links) {
+				t.Errorf("shards=%d: link stats\n got %+v\nwant %+v", shards, got.Links, serial.Links)
 			}
 			t.FailNow()
 		}

@@ -38,12 +38,8 @@ func tracedRun(t *testing.T, shards int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := shards
-	if want < 1 {
-		want = 1
-	}
-	if w.Shards() != want {
-		t.Fatalf("Shards() = %d, want %d (tracing must not force serial)", w.Shards(), want)
+	if w.Shards() != shards {
+		t.Fatalf("Shards() = %d, want %d (tracing must not force serial)", w.Shards(), shards)
 	}
 	w.Run(func(p *sim.Proc, r *Rank) {
 		base := r.opBase()
@@ -69,12 +65,11 @@ func tracedRun(t *testing.T, shards int) []byte {
 }
 
 // TestTracedCaptureShardInvariant is the determinism pin for the merged
-// sharded capture: the same experiment traced on the serial engine, the
-// one-slab group, and 2/4-shard groups produces byte-identical merged
-// event streams.
+// sharded capture: the same experiment traced on the serial engine and
+// on 2/4-shard groups produces byte-identical merged event streams.
 func TestTracedCaptureShardInvariant(t *testing.T) {
 	serial := tracedRun(t, 1)
-	for _, shards := range []int{-1, 2, 4} {
+	for _, shards := range []int{2, 4} {
 		got := tracedRun(t, shards)
 		if !bytes.Equal(got, serial) {
 			t.Fatalf("shards=%d: merged capture differs from serial (%d vs %d bytes)", shards, len(got), len(serial))

@@ -101,16 +101,6 @@ type Config struct {
 	// The network adopts the first registered card's setting.
 	Routing route.Config
 
-	// LinkMeterMode selects how the torus meters per-link traffic (see
-	// internal/core Network): the zero value keeps exact per-hop counters
-	// — bit-identical to the historical behavior — while LinkMeterSampled
-	// meters one hop in LinkMeterSampleEvery per link and aggressively
-	// trims link reservation calendars, bounding per-link state on
-	// 32^3-scale tori. The network adopts the first registered card's
-	// setting. Timing is identical in both modes; only the congestion
-	// counters become sampled estimates.
-	LinkMeterMode LinkMeterMode
-
 	// RXQueuePackets is the receive buffering per card; torus link-level
 	// flow control stalls senders when a receiver runs out of credits,
 	// which is how RX firmware speed backpressures the whole path.

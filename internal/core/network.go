@@ -20,9 +20,10 @@ import (
 // network through the route.View interface: topology, per-link up/down
 // state, and live queueing backlog.
 //
-// Every hop reservation is metered per directed link (packets, wire
-// bytes, peak backlog), so congestion on large tori can be localized:
-// LinkStats exposes the counters, HotLinks ranks the saturated links.
+// Every hop reservation is metered by its directed link's channel
+// (packets, wire bytes, busy time, peak backlog), so congestion on large
+// tori can be localized: LinkStats exposes the counters, HotLinks ranks
+// the saturated links.
 type Network struct {
 	Eng  *sim.Engine
 	Dims torus.Dims
@@ -31,15 +32,10 @@ type Network struct {
 	hopLat sim.Duration
 
 	cards map[int]*Card
-	// links and meters are indexed by rank*NumDirs+dir: the per-hop path
-	// is two array loads instead of two map lookups, which matters when a
-	// 32^3 torus books millions of hop reservations.
-	links  []*pcie.Channel
-	meters []linkMeter
-
-	// meterMode selects exact (default) or sampled link metering; adopted
-	// from the first registered card's Config, like the router.
-	meterMode LinkMeterMode
+	// links is indexed by rank*NumDirs+dir: the per-hop path is an array
+	// load instead of a map lookup, which matters when a 32^3 torus books
+	// millions of hop reservations. Each channel also meters its link.
+	links []*pcie.Channel
 
 	router    route.Router
 	routerSet bool // true once the first card's Config.Routing was applied
@@ -51,64 +47,18 @@ type Network struct {
 	stateEpoch uint64
 
 	// sharded is set when the cards registered on this torus live on the
-	// shards of a sim.Group. Each directed link's calendar and meter are
-	// owned by the engine of its source node; serial or sharded, every
-	// hop is booked on that engine at the packet's arrival time (see
-	// forwardOrdered), so no engine touches a foreign calendar. linkDown
-	// stays a single shared map: it only changes while the group is idle
-	// (SetLinkState enforces this), so shard workers read it without
-	// synchronization.
+	// shards of a sim.Group. Each directed link's channel is owned by the
+	// engine of its source node; serial or sharded, every hop is booked on
+	// that engine at the packet's arrival time (see forwardOrdered), so no
+	// engine touches a foreign calendar. linkDown stays a single shared
+	// map: it only changes while the group is idle (SetLinkState enforces
+	// this), so shard workers read it without synchronization.
 	sharded bool
 }
 
 type linkKey struct {
 	rank int
 	dir  torus.Dir
-}
-
-// LinkMeterMode selects how much bookkeeping every hop reservation does.
-type LinkMeterMode int
-
-const (
-	// LinkMeterExact meters every hop reservation: per-link packet and
-	// wire-byte counters are exact and TotalLinkWireBytes satisfies the
-	// conservation law (sum over packets of wire size x hop count) to the
-	// byte. The default; bit-identical to the historical behavior.
-	LinkMeterExact LinkMeterMode = iota
-	// LinkMeterSampled meters one hop reservation in every
-	// LinkMeterSampleEvery per link, scaling its size up by the stride,
-	// and trims the link's reservation calendar at each sample point.
-	// Counters become estimates (see the linkMeter doc for the error
-	// bound) but the per-hop cost and the per-link calendar state stop
-	// growing with traffic — the mode for 32^3-scale runs. Timing is
-	// unaffected: reservations are identical in both modes.
-	LinkMeterSampled
-)
-
-// LinkMeterSampleEvery is the sampling stride of LinkMeterSampled: one
-// hop reservation in this many is metered per link.
-const LinkMeterSampleEvery = 16
-
-func (m LinkMeterMode) String() string {
-	if m == LinkMeterSampled {
-		return "sampled"
-	}
-	return "exact"
-}
-
-// linkMeter accumulates per-directed-link traffic counters.
-//
-// Under LinkMeterSampled only every LinkMeterSampleEvery-th reservation
-// is recorded, scaled up by the stride, so packets/wireBytes estimate the
-// true totals: each active link undercounts by its residual (< stride)
-// unsampled hops and mis-weighs size variation within each stride window.
-// With roughly uniform packet sizes the relative error on a link carrying
-// P packets is O(stride/P); peakBacklog becomes a sampled lower bound.
-type linkMeter struct {
-	packets     int64
-	wireBytes   int64
-	peakBacklog sim.Duration // longest wait for the wire seen by any packet
-	tick        int32        // sampled mode: reservations since the last sample
 }
 
 // LinkStat is a snapshot of one directed torus link's counters.
@@ -156,13 +106,12 @@ func NewNetwork(eng *sim.Engine, dims torus.Dims, linkBW units.Bandwidth, hopLat
 		hopLat:   hopLat,
 		cards:    make(map[int]*Card),
 		links:    make([]*pcie.Channel, dims.Nodes()*int(torus.NumDirs)),
-		meters:   make([]linkMeter, dims.Nodes()*int(torus.NumDirs)),
 		router:   route.Config{}.New(),
 		linkDown: make(map[linkKey]bool),
 	}
 }
 
-// linkIndex flattens (rank, dir) into the links/meters slices.
+// linkIndex flattens (rank, dir) into the links slice.
 func (n *Network) linkIndex(rank int, dir torus.Dir) int {
 	return rank*int(torus.NumDirs) + int(dir)
 }
@@ -180,7 +129,6 @@ func (n *Network) register(c *Card) {
 	}
 	if !n.routerSet {
 		n.router = c.Cfg.Routing.New()
-		n.meterMode = c.Cfg.LinkMeterMode
 		n.routerSet = true
 	}
 	c.Rank = rank
@@ -209,35 +157,14 @@ func (n *Network) HopLatency() sim.Duration { return n.hopLat }
 // LinkBandwidth returns the per-direction link bandwidth.
 func (n *Network) LinkBandwidth() units.Bandwidth { return n.linkBW }
 
-// reserveHop books one packet's wire time on the directed link (rank,dir)
-// and meters the traversal, returning when the burst starts and ends.
+// reserveHop books one packet's wire time on the directed link (rank,dir),
+// which meters the traversal, returning when the burst starts and ends.
 func (n *Network) reserveHop(rank int, dir torus.Dir, from sim.Time, wire units.ByteSize) (start, end sim.Time) {
-	idx := n.linkIndex(rank, dir)
-	ch := n.links[idx]
+	ch := n.links[n.linkIndex(rank, dir)]
 	if ch == nil {
 		panic(fmt.Sprintf("core: no link at rank %d dir %v", rank, dir))
 	}
-	start, end = ch.ReserveRaw(from, wire)
-	m := &n.meters[idx]
-	if n.meterMode == LinkMeterSampled {
-		m.tick++
-		if m.tick >= LinkMeterSampleEvery {
-			m.tick = 0
-			m.packets += LinkMeterSampleEvery
-			m.wireBytes += int64(wire) * LinkMeterSampleEvery
-			if wait := start.Sub(from); wait > m.peakBacklog {
-				m.peakBacklog = wait
-			}
-			ch.Trim()
-		}
-		return start, end
-	}
-	m.packets++
-	m.wireBytes += int64(wire)
-	if wait := start.Sub(from); wait > m.peakBacklog {
-		m.peakBacklog = wait
-	}
-	return start, end
+	return ch.ReserveRaw(from, wire)
 }
 
 // Router returns the network's routing engine (for stats and tests).
@@ -279,7 +206,7 @@ func (n *Network) traceHop(rec *trace.Recorder, pkt *Packet, fromRank int, dec r
 // hopKey returns the pure tie key for one packet's hop bookings: packed
 // (injecting rank, per-card packet seq), non-zero by construction. Two
 // bookings that land on the same link at the same time execute in key
-// order on every engine layout: serial, one-slab group, or sharded.
+// order on every engine layout, serial or sharded.
 func (c *Card) hopKey() uint64 {
 	c.orderSeq++
 	return uint64(c.Rank+1)<<32 | (c.orderSeq & 0xffffffff)
@@ -479,27 +406,26 @@ func (n *Network) QueueDelay(from torus.Coord, dir torus.Dir, at sim.Time, wire 
 func (n *Network) StateEpoch() uint64 { return n.stateEpoch }
 
 // LinkStats snapshots every directed link that carried at least one
-// metered packet, ordered by (rank, dir). Loop-back traffic (destination
-// == source card) never touches torus links and is not counted. Under
-// LinkMeterSampled the counters are the sampled estimates.
+// packet, ordered by (rank, dir). Loop-back traffic (destination ==
+// source card) never touches torus links and is not counted.
 func (n *Network) LinkStats() []LinkStat {
 	var out []LinkStat
-	for idx := range n.meters {
-		m := &n.meters[idx]
-		if m.packets == 0 {
+	for idx, ch := range n.links {
+		if ch == nil || ch.Reservations() == 0 {
 			continue
 		}
 		rank := idx / int(torus.NumDirs)
 		dir := torus.Dir(idx % int(torus.NumDirs))
+		wait := ch.PeakWait()
 		out = append(out, LinkStat{
 			Rank:           rank,
 			Coord:          n.Dims.CoordOf(rank),
 			Dir:            dir,
-			Packets:        m.packets,
-			WireBytes:      m.wireBytes,
-			Busy:           n.links[idx].BusyTime(),
-			PeakBacklog:    m.peakBacklog,
-			PeakQueueBytes: units.ByteSize(float64(n.linkBW) * m.peakBacklog.Seconds()),
+			Packets:        ch.Reservations(),
+			WireBytes:      ch.WireBytes(),
+			Busy:           ch.BusyTime(),
+			PeakBacklog:    wait,
+			PeakQueueBytes: units.ByteSize(float64(n.linkBW) * wait.Seconds()),
 		})
 	}
 	return out
@@ -519,30 +445,17 @@ func (n *Network) HotLinks(k int) []LinkStat {
 }
 
 // TotalLinkWireBytes sums the wire bytes carried by every directed link.
-// Under LinkMeterExact each hop is metered, so this equals the sum over
-// packets of their wire size times the hop count of their route — the
-// conservation law the tests pin down. Under LinkMeterSampled it is the
-// sampled estimate of the same quantity.
+// Each hop is metered, so this equals the sum over packets of their wire
+// size times the hop count of their route — the conservation law the
+// tests pin down.
 func (n *Network) TotalLinkWireBytes() int64 {
 	var total int64
-	for i := range n.meters {
-		total += n.meters[i].wireBytes
-	}
-	return total
-}
-
-// MeterMode returns the link metering mode the network runs with.
-func (n *Network) MeterMode() LinkMeterMode { return n.meterMode }
-
-// TrimLinks drops expired reservation-calendar state on every link (see
-// pcie.Channel.Trim). Purely a memory/maintenance operation: no timing or
-// metering result changes.
-func (n *Network) TrimLinks() {
 	for _, ch := range n.links {
 		if ch != nil {
-			ch.Trim()
+			total += ch.WireBytes()
 		}
 	}
+	return total
 }
 
 // TraceLinkStats emits one trace event per active link with its counters,

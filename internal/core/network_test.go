@@ -115,9 +115,9 @@ func TestHotLinksOrderingAndTieBreaks(t *testing.T) {
 	}
 }
 
-// Two senders converging on one link must register queueing in the link
-// meter; an uncontended single-sender link must not.
-func TestLinkMeterPeakBacklogUnderContention(t *testing.T) {
+// Two senders converging on one link must register queueing in the
+// link's stats; an uncontended single-sender link must not.
+func TestLinkPeakBacklogUnderContention(t *testing.T) {
 	eng, cl, eps, bufs := ringRig(t)
 	defer eng.Shutdown()
 	const msg = 256 * units.KB

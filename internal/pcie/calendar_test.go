@@ -104,9 +104,7 @@ func (c *refChannel) Probe(from sim.Time, n units.ByteSize) sim.Time {
 // live reservation window is stable must Trim without allocating. The
 // shrink branch keeps 2x headroom above the live window, so the steady
 // state — reserve a burst train, advance the clock past it, Trim —
-// reuses the same backing array round after round. Torus links on a
-// 32^3 run call Trim at every maintenance point; an allocation here is
-// 49k allocations per sweep.
+// reuses the same backing array round after round.
 func TestTrimAllocFree(t *testing.T) {
 	eng := sim.New()
 	ch := NewChannel(eng, "trim", 4000*units.MBps)

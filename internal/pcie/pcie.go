@@ -86,6 +86,11 @@ type Channel struct {
 	busyTime  sim.Duration
 	bytes     int64
 	wireBytes int64
+	// reservations counts Reserve/ReserveRaw calls; peakWait is the
+	// longest any of them waited past its requested start (the channel's
+	// peak queueing delay). A torus link's meter is its channel.
+	reservations int64
+	peakWait     sim.Duration
 	// lastN/lastDur memoize the latest wire-time conversion: streams book
 	// uniform burst sizes back to back, so the float divide + round in
 	// units.TransferTime would recompute the same value almost every call.
@@ -133,6 +138,7 @@ func (c *Channel) reserve(from sim.Time, d sim.Duration) (start, end sim.Time) {
 	if now := c.eng.Now(); from < now {
 		from = now
 	}
+	c.reservations++
 	if d <= 0 {
 		return from, from
 	}
@@ -140,6 +146,9 @@ func (c *Channel) reserve(from sim.Time, d sim.Duration) (start, end sim.Time) {
 	start, i := c.findSlot(from, d)
 	end = start.Add(d)
 	c.busyTime += d
+	if wait := start.Sub(from); wait > c.peakWait {
+		c.peakWait = wait
+	}
 	if i == len(c.busy) {
 		// Tail fast path: extend the last interval for back-to-back
 		// streams, else append — no insertion shift either way.
@@ -200,11 +209,11 @@ func (c *Channel) compact() {
 
 // Trim aggressively drops calendar state that can no longer affect any
 // future reservation — intervals that ended at or before the current
-// simulation time — and releases oversized backing memory. Reserve prunes
-// lazily on its own; long-lived channels (torus links on a 32^3 run) call
-// Trim from maintenance points so their calendars stay sized to the live
-// reservation window instead of the high-water mark. Trim never changes
-// what any later Reserve, ReserveRaw or Probe returns.
+// simulation time — and releases oversized backing memory, so the
+// calendar is sized to the live reservation window instead of its
+// high-water mark. Reserve prunes lazily on its own; Trim is the explicit
+// maintenance form. Trim never changes what any later Reserve,
+// ReserveRaw or Probe returns, nor any counter.
 func (c *Channel) Trim() {
 	c.prune()
 	c.compact()
@@ -297,6 +306,14 @@ func (c *Channel) PayloadBytes() int64 { return c.bytes }
 
 // WireBytes returns raw wire bytes carried so far (payload + framing).
 func (c *Channel) WireBytes() int64 { return c.wireBytes }
+
+// Reservations returns the number of Reserve and ReserveRaw calls so far.
+// Probe books nothing and counts nothing.
+func (c *Channel) Reservations() int64 { return c.reservations }
+
+// PeakWait returns the longest time any reservation waited for the wire
+// past its requested start (or the current time, if that was later).
+func (c *Channel) PeakWait() sim.Duration { return c.peakWait }
 
 // Bandwidth returns the raw channel bandwidth.
 func (c *Channel) Bandwidth() units.Bandwidth { return c.bw }

@@ -282,3 +282,47 @@ func TestChannelProbeMatchesReserveRaw(t *testing.T) {
 		}
 	}
 }
+
+// The channel is a torus link's meter: every booking counts, and the
+// peak wait is the longest delay past a requested start — zero when
+// uncontended, exactly the queueing delay behind a busy interval, not
+// raised by a gap-filling booking that waits less, and untouched by
+// Probe, which books nothing.
+func TestChannelCounters(t *testing.T) {
+	eng := sim.New()
+	ch := NewChannel(eng, "link", units.Bandwidth(1e9)) // 1000 B = 1 µs
+	us := func(f float64) sim.Time { return sim.Time(f * float64(sim.Microsecond)) }
+	check := func(step string, reservations int64, peak sim.Duration) {
+		t.Helper()
+		if ch.Reservations() != reservations || ch.PeakWait() != peak {
+			t.Fatalf("%s: %d reservations, peak wait %v; want %d, %v",
+				step, ch.Reservations(), ch.PeakWait(), reservations, peak)
+		}
+	}
+
+	ch.ReserveRaw(0, 1000)     // [0,1) µs
+	ch.ReserveRaw(us(5), 1000) // [5,6) µs
+	check("uncontended", 2, 0)
+
+	if start, _ := ch.ReserveRaw(us(0.5), 1000); start != us(1) {
+		t.Fatalf("queued booking started at %v, want 1µs", start)
+	}
+	check("queued behind [0,1)", 3, 500*sim.Nanosecond)
+
+	// Requested at 1.8 µs, it waits 200 ns for [0,2) to drain and lands
+	// in the gap before [5,6).
+	if start, _ := ch.ReserveRaw(us(1.8), 1000); start != us(2) {
+		t.Fatalf("gap-filling booking started at %v, want 2µs", start)
+	}
+	check("gap-filling", 4, 500*sim.Nanosecond)
+
+	busy, wire := ch.BusyTime(), ch.WireBytes()
+	if start := ch.Probe(us(4.5), 1000); start != us(6) {
+		t.Fatalf("probe start %v, want 6µs", start)
+	}
+	check("probe", 4, 500*sim.Nanosecond)
+	if ch.BusyTime() != busy || ch.WireBytes() != wire || wire != 4000 {
+		t.Fatalf("probe moved busy time %v -> %v or wire bytes %d -> %d (want 4000)",
+			busy, ch.BusyTime(), wire, ch.WireBytes())
+	}
+}

@@ -86,15 +86,6 @@ type extMsg struct {
 // positive: it is the minimum cross-shard latency the model guarantees.
 // After NewGroup, eng.Run() drives the whole group and eng.Shutdown()
 // tears it down.
-//
-// n = 1 is legal and meaningful: a one-slab group runs every event on
-// one engine but keeps the group's message protocol — posts defer to
-// the next round barrier whatever their destination. Because that
-// deferral is global (a function of the round structure, which is
-// itself a pure function of event stamps), results are identical at
-// every shard count; the one-slab group is therefore the shard-count-
-// independent reference that sharded equivalence tests compare against
-// for models whose protocol messages execute retroactively.
 func NewGroup(eng *Engine, n int, lookahead Duration) *Group {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: group needs at least 1 shard, got %d", n))

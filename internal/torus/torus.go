@@ -5,6 +5,7 @@ package torus
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -57,7 +58,8 @@ func (d Dims) Valid() bool { return d.X > 0 && d.Y > 0 && d.Z > 0 }
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z) }
 
 // ParseDims parses the command-line form "X,Y,Z" (e.g. "8,8,8"; spaces
-// around each number are allowed) into positive torus dimensions.
+// around each number are allowed) into positive torus dimensions whose
+// node count fits in an int.
 func ParseDims(s string) (Dims, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 3 {
@@ -70,6 +72,9 @@ func ParseDims(s string) (Dims, error) {
 			return Dims{}, fmt.Errorf("bad dimension %q in %q", p, s)
 		}
 		v[i] = n
+	}
+	if v[0] > math.MaxInt/v[1] || v[0]*v[1] > math.MaxInt/v[2] {
+		return Dims{}, fmt.Errorf("torus %q has more nodes than an int can count", s)
 	}
 	return Dims{X: v[0], Y: v[1], Z: v[2]}, nil
 }

@@ -1,6 +1,9 @@
 package torus
 
 import (
+	"fmt"
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -22,12 +25,45 @@ func TestParseDims(t *testing.T) {
 		{"4,-2,2", Dims{}, false},
 		{"4,two,2", Dims{}, false},
 		{"4,2,", Dims{}, false},
+		// The node count must fit in an int: rejected, never wrapped.
+		{"3037000500,3037000500,1", Dims{}, false},
+		{"4294967296,4294967296,1", Dims{}, false},
+		{"2097152,2097152,2097152", Dims{}, false},
+		{fmt.Sprintf("1,1,%d", math.MaxInt), Dims{1, 1, math.MaxInt}, true},
+		{fmt.Sprintf("1,%d,1", math.MaxInt), Dims{1, math.MaxInt, 1}, true},
+		{fmt.Sprintf("2,1,%d", math.MaxInt), Dims{}, false},
+		{fmt.Sprintf("1,%d,2", math.MaxInt), Dims{}, false},
+		{fmt.Sprintf("1,1,%d", uint64(math.MaxInt)+1), Dims{}, false},
 	} {
 		got, err := ParseDims(c.in)
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("ParseDims(%q) = %v, %v; want %v (ok=%v)", c.in, got, err, c.want, c.ok)
 		}
 	}
+}
+
+// FuzzParseDims checks that every input either fails or parses to dims
+// whose Nodes is the exact product of the three sizes and that round-trip
+// through the "X,Y,Z" form; the seed corpus lives in
+// testdata/fuzz/FuzzParseDims. Run with
+// `go test -fuzz FuzzParseDims ./internal/torus`.
+func FuzzParseDims(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDims(s)
+		if err != nil {
+			return
+		}
+		exact := new(big.Int).Mul(big.NewInt(int64(d.X)), big.NewInt(int64(d.Y)))
+		exact.Mul(exact, big.NewInt(int64(d.Z)))
+		if !exact.IsInt64() || exact.Int64() != int64(d.Nodes()) {
+			t.Fatalf("ParseDims(%q) = %v: Nodes() = %d, exact product %v", s, d, d.Nodes(), exact)
+		}
+		form := fmt.Sprintf("%d,%d,%d", d.X, d.Y, d.Z)
+		back, err := ParseDims(form)
+		if err != nil || back != d {
+			t.Fatalf("ParseDims(%q) = %v, but %q parses to %v, %v", s, d, form, back, err)
+		}
+	})
 }
 
 func TestRankCoordRoundTrip(t *testing.T) {
