@@ -61,7 +61,10 @@ func one(path, out string, summary bool) error {
 	if summary {
 		return printSummary(path, f)
 	}
-	page := render.Page(f)
+	page, err := render.Page(f)
+	if err != nil {
+		return err
+	}
 	if out == "-" {
 		_, err := os.Stdout.Write(page)
 		return err

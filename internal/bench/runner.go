@@ -171,7 +171,11 @@ func (r *Runner) writeTrace(id string, rec *trace.Recorder, ts *timeseries.Set) 
 	if err := f.Save(filepath.Join(r.TraceDir, id+".json")); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(r.TraceDir, id+".html"), render.Page(f), 0o644)
+	page, err := render.Page(f)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(r.TraceDir, id+".html"), page, 0o644)
 }
 
 // DeriveSeed maps (base seed, experiment ID) to a per-experiment seed.

@@ -207,30 +207,6 @@ func (c *Channel) compact() {
 	c.head = 0
 }
 
-// Trim aggressively drops calendar state that can no longer affect any
-// future reservation — intervals that ended at or before the current
-// simulation time — and releases oversized backing memory, so the
-// calendar is sized to the live reservation window instead of its
-// high-water mark. Reserve prunes lazily on its own; Trim is the explicit
-// maintenance form. Trim never changes what any later Reserve,
-// ReserveRaw or Probe returns, nor any counter.
-func (c *Channel) Trim() {
-	c.prune()
-	c.compact()
-	// Release oversized backing memory, but keep 2x headroom above the
-	// live window (floor 64 entries): the retained array absorbs the next
-	// reservations instead of regrowing, and a channel whose calendar is
-	// stable trims allocation-free — shrinking only ever halves the
-	// capacity, so an oscillating calendar cannot thrash realloc cycles.
-	want := 2 * len(c.busy)
-	if want < 64 {
-		want = 64
-	}
-	if cap(c.busy) >= 2*want {
-		c.busy = append(make([]interval, 0, want), c.busy...)
-	}
-}
-
 // WireTime returns the serialization time of n payload bytes including
 // per-TLP framing overhead.
 func (c *Channel) WireTime(n units.ByteSize) sim.Duration {

@@ -77,3 +77,94 @@ func TestGroupRoundAllocFree(t *testing.T) {
 		t.Errorf("post+ingest+step cycle allocated %.1f objects per message, want 0", allocs)
 	}
 }
+
+// TestWakeAllocFree pins allocation-free proc wakes: once the free list,
+// heap array and waiter queues have grown, a RunUntil window in which a
+// blocked proc is woken — by its Sleep event, a Signal Broadcast or
+// Pulse, a Semaphore grant or a Queue Put — and blocks again allocates
+// nothing. Wake events carry the proc instead of a closure and are
+// pooled, waiter queues reuse their arrays, and blocking stores its
+// reason without formatting it.
+func TestWakeAllocFree(t *testing.T) {
+	// ticker reschedules fn every microsecond as infra bookkeeping, which
+	// TestStepAllocFree already pins alloc-free.
+	ticker := func(eng *Engine, fn func()) {
+		var tick func()
+		tick = func() {
+			fn()
+			eng.AtInfra(eng.Now().Add(Microsecond), tick)
+		}
+		eng.AtInfra(eng.Now().Add(Microsecond), tick)
+	}
+	cases := []struct {
+		name  string
+		setup func(eng *Engine)
+	}{
+		{"sleep", func(eng *Engine) {
+			eng.Go("sleeper", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+				}
+			})
+		}},
+		{"broadcast", func(eng *Engine) {
+			sig := NewSignal(eng)
+			eng.Go("waiter", func(p *Proc) {
+				for {
+					sig.Wait(p, "tick")
+				}
+			})
+			ticker(eng, sig.Broadcast)
+		}},
+		{"pulse", func(eng *Engine) {
+			sig := NewSignal(eng)
+			eng.Go("waiter", func(p *Proc) {
+				for {
+					sig.Wait(p, "tick")
+				}
+			})
+			ticker(eng, sig.Pulse)
+		}},
+		{"semaphore", func(eng *Engine) {
+			sem := NewSemaphore(eng, 0)
+			eng.Go("acquirer", func(p *Proc) {
+				for {
+					sem.Acquire(p, 1)
+				}
+			})
+			ticker(eng, func() { sem.Release(1) })
+		}},
+		{"queue", func(eng *Engine) {
+			q := NewQueue[int](eng, "q", 1)
+			eng.Go("consumer", func(p *Proc) {
+				for {
+					q.Get(p)
+				}
+			})
+			eng.Go("producer", func(p *Proc) {
+				for i := 0; ; i++ {
+					p.Sleep(Microsecond)
+					q.Put(p, i)
+				}
+			})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := New()
+			defer eng.Shutdown()
+			c.setup(eng)
+			window := func() { eng.RunUntil(eng.Now().Add(Microsecond)) }
+			for i := 0; i < 64; i++ { // warm the free list, heap and queues
+				window()
+			}
+			steps := eng.Steps()
+			if allocs := testing.AllocsPerRun(256, window); allocs != 0 {
+				t.Errorf("%s wake allocated %.1f objects per window, want 0", c.name, allocs)
+			}
+			if eng.Steps() == steps {
+				t.Fatal("no proc woke during the measured windows")
+			}
+		})
+	}
+}

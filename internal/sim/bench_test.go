@@ -62,3 +62,35 @@ func BenchmarkGroupRound(b *testing.B) {
 	b.StopTimer()
 	eng.Shutdown()
 }
+
+// BenchmarkProcSwitch measures one proc wake — the wake event, the
+// resume, the proc's next Sleep and block — in the two shapes a model
+// produces. In "self" a lone proc sleeps in a loop, so every wake
+// resumes the proc that just blocked: it keeps running the event loop
+// and continues with no goroutine switch. In "pair" two procs sleep in
+// lockstep, so every wake resumes the other proc: the blocking proc
+// hands the loop straight to it, one goroutine switch.
+func BenchmarkProcSwitch(b *testing.B) {
+	sleeper := func(n int) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(sim.Nanosecond)
+			}
+		}
+	}
+	b.Run("self", func(b *testing.B) {
+		eng := sim.New()
+		eng.Go("a", sleeper(b.N))
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run()
+	})
+	b.Run("pair", func(b *testing.B) {
+		eng := sim.New()
+		eng.Go("a", sleeper((b.N+1)/2))
+		eng.Go("b", sleeper(b.N/2))
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run()
+	})
+}

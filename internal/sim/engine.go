@@ -45,6 +45,11 @@ type Event struct {
 	// sender's (shard, seq): tied events run after untied ones and in tie
 	// order among themselves. See PostTied.
 	tie uint64
+
+	// proc, when set, is the proc this event resumes in place of a
+	// callback: the start, Sleep, Signal and Semaphore wakes. Such events
+	// are pooled, so a wake allocates nothing.
+	proc *Proc
 }
 
 // Time returns the time at which the event is scheduled to fire.
@@ -56,6 +61,17 @@ func (ev *Event) Time() Time { return ev.t }
 // procs, model components) forms one single-threaded unit. Multiple
 // independent engines may run in parallel (e.g. parallel tests or
 // parameter sweeps).
+//
+// The event loop runs on whichever goroutine holds the right to run it.
+// Run, RunUntil, Step and a Group worker's window start it on their own
+// goroutine, the driver. An event that resumes a proc hands the loop to
+// that proc, and the proc keeps it: when it blocks again it executes the
+// following events itself, continues with no goroutine switch when the
+// next resumed proc is itself, and otherwise hands the loop straight to
+// the resumed proc with one channel send. The loop returns to the driver
+// only when the window closes, a proc exits, or something panics; the
+// driver then re-raises the panic, an event callback's with its original
+// value and a proc's wrapped with the proc's name.
 type Engine struct {
 	now     Time
 	workEnd Time // time of the last executed non-infra event
@@ -76,7 +92,25 @@ type Engine struct {
 	// the event-queue high-water mark, it turns the per-message Event
 	// allocation of mailbox ingestion into a pointer swap.
 	free []*Event
+
+	// The current window: events stamped at or before until run in it.
+	until Time
+	// inCallback is set while an event callback runs; woken is the proc
+	// the callback resumes with Wake, once it returns.
+	inCallback bool
+	woken      *Proc
+	// back returns the loop to the driver; panicVal is the panic, if any,
+	// the driver must re-raise when it gets the loop back.
+	back     chan struct{}
+	panicVal any
 }
+
+// Window bounds: no event is stamped at or before closed, and every
+// event is stamped at or before forever.
+const (
+	closed  Time = -1
+	forever Time = 1<<63 - 1
+)
 
 // New returns a new Engine at time zero.
 func New() *Engine {
@@ -88,7 +122,11 @@ func New() *Engine {
 // Steps are flushed to the account when Run returns and at Shutdown.
 func NewWithAccount(a *Account) *Engine {
 	a.addEngine()
-	return &Engine{procs: make(map[*Proc]struct{}), account: a}
+	return newEngine(a)
+}
+
+func newEngine(a *Account) *Engine {
+	return &Engine{procs: make(map[*Proc]struct{}), account: a, back: make(chan struct{})}
 }
 
 // Now returns the current simulation time.
@@ -152,6 +190,14 @@ func (e *Engine) AtInfraKeyed(t Time, key uint64, fn func()) {
 	e.push(ev)
 }
 
+// wakeAt schedules a counted event at t that resumes p.
+func (e *Engine) wakeAt(t Time, p *Proc) {
+	ev := e.alloc()
+	ev.t, ev.seq, ev.proc, ev.pooled = t, e.seq, p, true
+	e.seq++
+	e.push(ev)
+}
+
 // alloc returns a zeroed Event, reusing the free list when possible.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
@@ -189,25 +235,18 @@ func (e *Engine) Cancel(ev *Event) {
 	e.remove(ev)
 }
 
-// Step executes the single next event. It returns false when the event
-// queue is empty.
+// Step executes the single next event and, when it resumes a proc, lets
+// that proc run until it blocks. It returns false when the event queue
+// is empty.
 func (e *Engine) Step() bool {
 	ev := e.pop()
 	if ev == nil {
 		return false
 	}
-	e.now = ev.t
-	if !ev.infra {
-		e.nsteps++
-		e.workEnd = ev.t
+	e.open(closed)
+	if p := e.exec(ev); p != nil {
+		e.handOff(p)
 	}
-	fn := ev.fn
-	if ev.pooled {
-		// Recycle before running fn: the callback may schedule again and
-		// can reuse this very slot. fn never holds the event pointer.
-		e.recycle(ev)
-	}
-	fn()
 	return true
 }
 
@@ -219,9 +258,84 @@ func (e *Engine) Run() {
 		e.group.run()
 		return
 	}
-	for e.Step() {
-	}
+	e.drive(forever)
 	e.flushAccount()
+}
+
+// open starts a window on the driver. It also clears callback state a
+// panic may have left behind.
+func (e *Engine) open(until Time) {
+	e.until, e.inCallback, e.woken = until, false, nil
+}
+
+// drive runs the loop on the driver until every event stamped at or
+// before until has executed and every proc they resumed has blocked.
+func (e *Engine) drive(until Time) {
+	e.open(until)
+	for p := e.next(); p != nil; p = e.next() {
+		e.handOff(p)
+	}
+}
+
+// handOff gives the loop to p and waits until it comes back, re-raising
+// the panic it may bring.
+func (e *Engine) handOff(p *Proc) {
+	p.resume()
+	<-e.back
+	if v := e.panicVal; v != nil {
+		e.panicVal = nil
+		panic(v)
+	}
+}
+
+// next executes the window's events until one resumes a proc and returns
+// that proc, or nil once the window has no event left.
+func (e *Engine) next() *Proc {
+	for len(e.heap) > 0 && e.heap[0].t <= e.until {
+		if p := e.exec(e.pop()); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// loop is next run by a blocked proc. A panic raised by an event
+// callback is caught and left in panicVal with its original value, and
+// loop returns nil: the proc then hands the loop to the driver, which
+// re-raises it.
+func (e *Engine) loop() *Proc {
+	defer func() {
+		if r := recover(); r != nil {
+			e.inCallback, e.woken, e.panicVal = false, nil, r
+		}
+	}()
+	return e.next()
+}
+
+// exec executes the popped event ev and returns the live proc it
+// resumes, if any.
+func (e *Engine) exec(ev *Event) *Proc {
+	e.now = ev.t
+	if !ev.infra {
+		e.nsteps++
+		e.workEnd = ev.t
+	}
+	p, fn := ev.proc, ev.fn
+	if ev.pooled {
+		// Recycle before running fn: the callback may schedule again and
+		// can reuse this very slot. fn never holds the event pointer.
+		e.recycle(ev)
+	}
+	if p == nil {
+		e.inCallback = true
+		fn()
+		e.inCallback = false
+		p, e.woken = e.woken, nil
+	}
+	if p == nil || p.dead {
+		return nil
+	}
+	return p
 }
 
 // flushAccount reports steps executed since the last flush and the
@@ -242,13 +356,7 @@ func (e *Engine) RunUntil(t Time) {
 	if e.group != nil {
 		panic("sim: RunUntil is not supported on a sharded engine; use Run")
 	}
-	for {
-		ev := e.peek()
-		if ev == nil || ev.t > t {
-			break
-		}
-		e.Step()
-	}
+	e.drive(t)
 	if t > e.now {
 		e.now = t
 	}
@@ -268,8 +376,8 @@ func (e *Engine) Pending() int { return len(e.heap) }
 func (e *Engine) Blocked() []string {
 	var out []string
 	for p := range e.procs {
-		if p.blockedOn != "" {
-			out = append(out, p.name+": "+p.blockedOn)
+		if why := p.why.String(); why != "" {
+			out = append(out, p.name+": "+why)
 		}
 	}
 	sort.Strings(out)
@@ -290,6 +398,9 @@ func (e *Engine) Shutdown() {
 
 // shutdownLocal kills this engine's procs and flushes its account.
 func (e *Engine) shutdownLocal() {
+	// A closed window: a killed proc that blocks in deferred cleanup
+	// runs no events and hands the loop straight back.
+	e.open(closed)
 	for len(e.procs) > 0 {
 		var p *Proc
 		// Pick any proc; kill order does not matter for determinism
@@ -299,7 +410,13 @@ func (e *Engine) shutdownLocal() {
 			break
 		}
 		p.killed = true
-		e.dispatch(p)
+		if !p.launched {
+			// The start event has not fired: there is no goroutine.
+			p.dead = true
+			delete(e.procs, p)
+			continue
+		}
+		e.handOff(p)
 	}
 	e.flushAccount()
 }

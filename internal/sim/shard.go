@@ -107,7 +107,7 @@ func NewGroup(eng *Engine, n int, lookahead Duration) *Group {
 	for i := 1; i < n; i++ {
 		// Siblings share the account but do not call addEngine: the
 		// group is one logical engine as far as accounting goes.
-		g.engines[i] = &Engine{procs: make(map[*Proc]struct{}), account: eng.account}
+		g.engines[i] = newEngine(eng.account)
 	}
 	for i, e := range g.engines {
 		e.group = g
@@ -215,17 +215,12 @@ func (g *Group) startWorkers() {
 }
 
 // worker drains shard i's heap up to each horizon received on its work
-// channel. It exits when the channel closes at shutdown.
+// channel, as the driver of the shard's loop. It exits when the channel
+// closes at shutdown.
 func (g *Group) worker(i int) {
 	e := g.engines[i]
 	for horizon := range g.work[i] {
-		for {
-			ev := e.peek()
-			if ev == nil || ev.t >= horizon {
-				break
-			}
-			e.Step()
-		}
+		e.drive(horizon - 1)
 		g.done <- struct{}{}
 	}
 }

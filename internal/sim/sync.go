@@ -8,7 +8,7 @@ import "fmt"
 // in a loop.
 type Signal struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewSignal returns a Signal bound to e.
@@ -16,35 +16,31 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // Wait parks p until the next Broadcast/Pulse. reason is reported by
 // Engine.Blocked.
-func (s *Signal) Wait(p *Proc, reason string) {
-	s.waiters = append(s.waiters, p)
-	p.block(reason)
+func (s *Signal) Wait(p *Proc, reason string) { s.wait(p, waitReason{what: reason}) }
+
+func (s *Signal) wait(p *Proc, why waitReason) {
+	s.waiters.push(p)
+	p.block(why)
 }
 
 // Broadcast wakes all current waiters in FIFO order. The wakes are
 // delivered as zero-delay events, so they interleave deterministically
 // with other same-time events.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w := w
-		s.eng.After(0, func() { s.eng.dispatch(w) })
+	for s.waiters.len() > 0 {
+		s.eng.wakeAt(s.eng.now, s.waiters.pop())
 	}
 }
 
 // Pulse wakes only the first (oldest) waiter.
 func (s *Signal) Pulse() {
-	if len(s.waiters) == 0 {
-		return
+	if s.waiters.len() > 0 {
+		s.eng.wakeAt(s.eng.now, s.waiters.pop())
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.eng.After(0, func() { s.eng.dispatch(w) })
 }
 
 // Waiting returns the number of procs currently waiting.
-func (s *Signal) Waiting() int { return len(s.waiters) }
+func (s *Signal) Waiting() int { return s.waiters.len() }
 
 // Semaphore is a counting semaphore with strict FIFO granting: a large
 // request at the head of the queue blocks later smaller ones, which keeps
@@ -53,7 +49,7 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 type Semaphore struct {
 	eng   *Engine
 	avail int64
-	queue []*semWait
+	queue fifo[semWait]
 }
 
 type semWait struct {
@@ -75,18 +71,18 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 	if n < 0 {
 		panic("sim: negative acquire")
 	}
-	if len(s.queue) == 0 && s.avail >= n {
+	if s.queue.len() == 0 && s.avail >= n {
 		s.avail -= n
 		return
 	}
-	s.queue = append(s.queue, &semWait{p: p, n: n})
-	p.block(fmt.Sprintf("sem.acquire(%d)", n))
+	s.queue.push(semWait{p: p, n: n})
+	p.block(waitReason{what: "sem.acquire", units: n, sem: true})
 }
 
 // TryAcquire takes n units without blocking; it reports whether it
 // succeeded. It fails when waiters are queued, preserving FIFO fairness.
 func (s *Semaphore) TryAcquire(n int64) bool {
-	if len(s.queue) == 0 && s.avail >= n {
+	if s.queue.len() == 0 && s.avail >= n {
 		s.avail -= n
 		return true
 	}
@@ -103,12 +99,10 @@ func (s *Semaphore) Release(n int64) {
 }
 
 func (s *Semaphore) drain() {
-	for len(s.queue) > 0 && s.queue[0].n <= s.avail {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.queue.len() > 0 && s.queue.front().n <= s.avail {
+		w := s.queue.pop()
 		s.avail -= w.n
-		p := w.p
-		s.eng.After(0, func() { s.eng.dispatch(p) })
+		s.eng.wakeAt(s.eng.now, w.p)
 	}
 }
 
@@ -116,7 +110,7 @@ func (s *Semaphore) drain() {
 func (s *Semaphore) Available() int64 { return s.avail }
 
 // QueueLen returns the number of blocked acquirers.
-func (s *Semaphore) QueueLen() int { return len(s.queue) }
+func (s *Semaphore) QueueLen() int { return s.queue.len() }
 
 // Queue is a bounded FIFO of items with blocking Put/Get, modeling
 // hardware queues and mailboxes. A capacity of 0 means unbounded.
@@ -124,7 +118,7 @@ type Queue[T any] struct {
 	eng      *Engine
 	name     string
 	capacity int
-	items    []T
+	items    fifo[T]
 	changed  *Signal
 }
 
@@ -135,30 +129,29 @@ func NewQueue[T any](e *Engine, name string, capacity int) *Queue[T] {
 
 // Put appends v, blocking while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.capacity > 0 && len(q.items) >= q.capacity {
-		q.changed.Wait(p, q.name+".put")
+	for q.capacity > 0 && q.items.len() >= q.capacity {
+		q.changed.wait(p, waitReason{what: q.name, op: "put"})
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.changed.Broadcast()
 }
 
 // TryPut appends v if there is room, reporting success.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	if q.capacity > 0 && q.items.len() >= q.capacity {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.changed.Broadcast()
 	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.changed.Wait(p, q.name+".get")
+	for q.items.len() == 0 {
+		q.changed.wait(p, waitReason{what: q.name, op: "get"})
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.changed.Broadcast()
 	return v
 }
@@ -166,17 +159,16 @@ func (q *Queue[T]) Get(p *Proc) T {
 // TryGet removes and returns the head item if any.
 func (q *Queue[T]) TryGet() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.changed.Broadcast()
 	return v, true
 }
 
 // Len returns the current number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Cap returns the queue capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.capacity }
@@ -206,7 +198,7 @@ func (f *ByteFIFO) Put(p *Proc, n int64) {
 		panic(fmt.Sprintf("sim: %s: put %d exceeds capacity %d", f.name, n, f.capacity))
 	}
 	for f.level+n > f.capacity {
-		f.changed.Wait(p, f.name+".put")
+		f.changed.wait(p, waitReason{what: f.name, op: "put"})
 	}
 	f.level += n
 	f.changed.Broadcast()
@@ -215,7 +207,7 @@ func (f *ByteFIFO) Put(p *Proc, n int64) {
 // Get removes n bytes, blocking until they are present.
 func (f *ByteFIFO) Get(p *Proc, n int64) {
 	for f.level < n {
-		f.changed.Wait(p, f.name+".get")
+		f.changed.wait(p, waitReason{what: f.name, op: "get"})
 	}
 	f.level -= n
 	f.changed.Broadcast()
@@ -224,7 +216,7 @@ func (f *ByteFIFO) Get(p *Proc, n int64) {
 // GetUpTo removes up to max bytes (at least 1), blocking while empty.
 func (f *ByteFIFO) GetUpTo(p *Proc, max int64) int64 {
 	for f.level == 0 {
-		f.changed.Wait(p, f.name+".get")
+		f.changed.wait(p, waitReason{what: f.name, op: "get"})
 	}
 	n := f.level
 	if n > max {
@@ -238,7 +230,7 @@ func (f *ByteFIFO) GetUpTo(p *Proc, max int64) int64 {
 // WaitLevelBelow blocks until the fill level drops below mark.
 func (f *ByteFIFO) WaitLevelBelow(p *Proc, mark int64) {
 	for f.level >= mark {
-		f.changed.Wait(p, f.name+".belowmark")
+		f.changed.wait(p, waitReason{what: f.name, op: "belowmark"})
 	}
 }
 
@@ -298,3 +290,39 @@ func (r *Resource) Utilization(now Time) float64 {
 
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
+
+// fifo is a slice-backed FIFO that keeps its backing array: pop advances
+// a head index and rewinds to the start once the FIFO empties, and push
+// shifts the live items down rather than grow an array that is at least
+// half consumed. A FIFO that drains and refills in steady state
+// therefore never allocates.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// front returns the oldest item; the FIFO must not be empty.
+func (f *fifo[T]) front() T { return f.buf[f.head] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && 2*f.head >= len(f.buf) && f.head > 0 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the oldest item; the FIFO must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}

@@ -5,9 +5,10 @@
 //   - An Engine owning a priority queue of timestamped events. Ties are
 //     broken by insertion order, so runs are fully deterministic.
 //   - Procs: lightweight coroutine processes (one goroutine each, but with
-//     strict engine/proc alternation so exactly one goroutine runs at a
-//     time). Procs model hardware engines and firmware loops and may block
-//     on time (Sleep) or on synchronization objects.
+//     strict alternation so exactly one goroutine runs at a time: the
+//     driver of the event loop or the proc holding it). Procs model
+//     hardware engines and firmware loops and may block on time (Sleep)
+//     or on synchronization objects.
 //   - Synchronization primitives with FIFO fairness: Signal, Semaphore,
 //     Queue, ByteFIFO and Resource. These model mailboxes, FIFOs with
 //     backpressure, and serial servers (links, DMA engines, processors).

@@ -54,7 +54,10 @@ type capture struct {
 	maxT sim.Time
 }
 
-func parse(f *trace.File) *capture {
+// parse reads the capture's hop spans. A hop span that starts before
+// time 0 or ends before it starts, or that names a negative rank or one
+// outside the capture's dims, makes the capture malformed.
+func parse(f *trace.File) (*capture, error) {
 	c := &capture{f: f}
 	if f.Dims != "" {
 		c.dims = parseDims(f.Dims)
@@ -75,18 +78,28 @@ func parse(f *trace.File) *capture {
 		h.from = noteInt(ev.Note, "from")
 		h.to = noteInt(ev.Note, "to")
 		h.deviated = noteInt(ev.Note, "dev") == 1 || noteInt(ev.Note, "fault") == 1
+		if h.t0 < 0 || h.t1 < h.t0 {
+			return nil, fmt.Errorf("render: hop span on %s spans %d..%d ps, outside the run", h.link, h.t0, h.t1)
+		}
 		c.hops = append(c.hops, h)
+	}
+	for _, h := range c.hops {
+		if h.from < 0 || h.to < 0 || (c.dims.Nodes() > 0 && max(h.from, h.to) >= c.dims.Nodes()) {
+			return nil, fmt.Errorf("render: hop on %s from rank %d to rank %d outside the torus %s",
+				h.link, h.from, h.to, orDash(dimsLabel(c)))
+		}
 	}
 	if c.maxT <= 0 {
 		c.maxT = 1
 	}
-	return c
+	return c, nil
 }
 
-// parseDims parses "4x2x2" into torus dims; zero value on mismatch.
+// parseDims parses "4x2x2" into torus dims; zero value unless the
+// string names three positive dimensions.
 func parseDims(s string) torus.Dims {
-	var d torus.Dims
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &d.X, &d.Y, &d.Z); err != nil {
+	d, err := torus.ParseDims(strings.ReplaceAll(s, "x", ","))
+	if err != nil {
 		return torus.Dims{}
 	}
 	return d
@@ -113,9 +126,14 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 // TimelineSVG renders the per-link utilization timeline: one lane per
 // directed link (busiest first), time bucketed into fixed slots, each
 // slot shaded by the fraction of it the link spent carrying data. The
-// result is a standalone, well-formed XML document.
-func TimelineSVG(f *trace.File) []byte {
-	return timelineSVG(parse(f))
+// result is a standalone, well-formed XML document. A malformed capture
+// (see Page) returns an error.
+func TimelineSVG(f *trace.File) ([]byte, error) {
+	c, err := parse(f)
+	if err != nil {
+		return nil, err
+	}
+	return timelineSVG(c), nil
 }
 
 func timelineSVG(c *capture) []byte {
@@ -283,9 +301,14 @@ var legColor = map[string]string{
 // Dimension-ordered packets walk a minimal staircase toward their
 // destination; detoured packets (more hops than the torus minimum, when
 // the capture knows its dims) are drawn red and dashed, visibly off that
-// staircase. The result is a standalone, well-formed XML document.
-func SpaceTimeSVG(f *trace.File) []byte {
-	return spaceTimeSVG(parse(f))
+// staircase. The result is a standalone, well-formed XML document. A
+// malformed capture (see Page) returns an error.
+func SpaceTimeSVG(f *trace.File) ([]byte, error) {
+	c, err := parse(f)
+	if err != nil {
+		return nil, err
+	}
+	return spaceTimeSVG(c), nil
 }
 
 func spaceTimeSVG(c *capture) []byte {
@@ -417,8 +440,14 @@ func (c *capture) linkRows() []linkRow {
 // Page renders the full self-contained HTML report: capture provenance,
 // the utilization timeline, the space-time diagram, the per-op stage
 // breakdown (when the capture holds stage events) and the link table.
-func Page(f *trace.File) []byte {
-	c := parse(f)
+// A capture whose hop spans start before time 0 or end before they
+// start, or name ranks outside its torus, is malformed: Page returns an
+// error and no page.
+func Page(f *trace.File) ([]byte, error) {
+	c, err := parse(f)
+	if err != nil {
+		return nil, err
+	}
 	var b bytes.Buffer
 	title := "apenetsim trace"
 	if f.Label != "" {
@@ -480,7 +509,7 @@ p.meta { color: #666; font-size: 11px; }
 		b.WriteString("</table>\n")
 	}
 	b.WriteString("</body>\n</html>\n")
-	return b.Bytes()
+	return b.Bytes(), nil
 }
 
 func dimsLabel(c *capture) string {

@@ -90,6 +90,27 @@ func telemetryFixture() *trace.File {
 	return f
 }
 
+// must fails t when a render returns an error: must(t)(Page(f)).
+func must(t *testing.T) func([]byte, error) []byte {
+	return func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+}
+
+// mustParse is parse for captures the test knows are well-formed.
+func mustParse(t *testing.T, f *trace.File) *capture {
+	t.Helper()
+	c, err := parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	golden := filepath.Join("testdata", name)
@@ -112,23 +133,23 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestPageMatchesGolden(t *testing.T) {
-	checkGolden(t, "fixture.html", Page(fixture()))
+	checkGolden(t, "fixture.html", must(t)(Page(fixture())))
 }
 
 func TestTelemetryPageMatchesGolden(t *testing.T) {
-	checkGolden(t, "telemetry.html", Page(telemetryFixture()))
+	checkGolden(t, "telemetry.html", must(t)(Page(telemetryFixture())))
 }
 
 func TestRenderIsByteStable(t *testing.T) {
 	f := fixture()
-	if !bytes.Equal(Page(f), Page(f)) {
+	if !bytes.Equal(must(t)(Page(f)), must(t)(Page(f))) {
 		t.Fatal("two renders of the same capture differ")
 	}
-	if !bytes.Equal(TimelineSVG(f), TimelineSVG(f)) || !bytes.Equal(SpaceTimeSVG(f), SpaceTimeSVG(f)) {
+	if !bytes.Equal(must(t)(TimelineSVG(f)), must(t)(TimelineSVG(f))) || !bytes.Equal(must(t)(SpaceTimeSVG(f)), must(t)(SpaceTimeSVG(f))) {
 		t.Fatal("SVG renders are not deterministic")
 	}
 	tf := telemetryFixture()
-	if !bytes.Equal(Page(tf), Page(tf)) {
+	if !bytes.Equal(must(t)(Page(tf)), must(t)(Page(tf))) {
 		t.Fatal("two telemetry renders of the same capture differ")
 	}
 	if !bytes.Equal(ShardLanesSVG(tf), ShardLanesSVG(tf)) {
@@ -140,7 +161,7 @@ func TestShardLanesOnlyForShardedCaptures(t *testing.T) {
 	if svg := ShardLanesSVG(fixture()); svg != nil {
 		t.Fatalf("serial capture grew shard lanes:\n%s", svg)
 	}
-	page := string(Page(telemetryFixture()))
+	page := string(must(t)(Page(telemetryFixture())))
 	if !strings.Contains(page, "Run telemetry") || !strings.Contains(page, "shard occupancy") {
 		t.Fatal("telemetry section missing from sharded page")
 	}
@@ -182,27 +203,27 @@ func TestLineChartSVG(t *testing.T) {
 }
 
 func TestSVGsAreWellFormedXML(t *testing.T) {
-	if n := wellFormedSVGs(t, Page(fixture())); n != 2 {
+	if n := wellFormedSVGs(t, must(t)(Page(fixture()))); n != 2 {
 		t.Fatalf("page embeds %d SVGs, want timeline + space-time", n)
 	}
 	// The telemetry fixture adds shard lanes + one chart per unit (frac,
 	// ops) on top of the timeline and space-time views.
-	if n := wellFormedSVGs(t, Page(telemetryFixture())); n != 5 {
+	if n := wellFormedSVGs(t, must(t)(Page(telemetryFixture()))); n != 5 {
 		t.Fatalf("telemetry page embeds %d SVGs, want timeline + space-time + lanes + 2 charts", n)
 	}
 	// Both standalone renderers emit a single well-formed document even
 	// for an empty capture.
 	empty := &trace.File{SchemaVersion: trace.FileSchemaVersion}
-	if n := wellFormedSVGs(t, TimelineSVG(empty)); n != 1 {
+	if n := wellFormedSVGs(t, must(t)(TimelineSVG(empty))); n != 1 {
 		t.Fatalf("empty timeline = %d SVGs", n)
 	}
-	if n := wellFormedSVGs(t, SpaceTimeSVG(empty)); n != 1 {
+	if n := wellFormedSVGs(t, must(t)(SpaceTimeSVG(empty))); n != 1 {
 		t.Fatalf("empty space-time = %d SVGs", n)
 	}
 }
 
 func TestDetourDetection(t *testing.T) {
-	c := parse(fixture())
+	c := mustParse(t, fixture())
 	trs := c.tracks()
 	if len(trs) != 2 {
 		t.Fatalf("tracks = %d, want 2", len(trs))
@@ -213,7 +234,7 @@ func TestDetourDetection(t *testing.T) {
 	if !trs[1].detour {
 		t.Fatal("router-flagged detour not marked (dev=1 ignored)")
 	}
-	svg := string(SpaceTimeSVG(fixture()))
+	svg := string(must(t)(SpaceTimeSVG(fixture())))
 	if !strings.Contains(svg, "stroke-dasharray") || !strings.Contains(svg, "1 detoured") {
 		t.Fatalf("detour not drawn dashed/legended:\n%s", svg)
 	}
@@ -225,7 +246,7 @@ func TestDetourDetection(t *testing.T) {
 		ev(2000, 3000, "wire.(0,1,0)Y-", "hop", 3, 64, "leg=put seq=0 from=4 to=0"),
 		ev(3000, 4000, "wire.(0,0,0)X+", "hop", 3, 64, "leg=put seq=0 from=0 to=1"),
 	}}
-	lc := parse(long)
+	lc := mustParse(t, long)
 	ltr := lc.tracks()
 	if len(ltr) != 1 || !ltr[0].detour {
 		t.Fatalf("hop-count detour missed: %+v", ltr)
@@ -240,8 +261,48 @@ func TestTracksSplitOnDiscontinuity(t *testing.T) {
 		ev(5000, 6000, "wire.(0,0,0)X+", "hop", 1, 64, "leg=put seq=0 from=0 to=1"),
 		ev(1000, 2000, "wire.(2,0,0)X+", "hop", 1, 64, "leg=put seq=0 from=2 to=3"),
 	}}
-	trs := parse(f).tracks()
+	trs := mustParse(t, f).tracks()
 	if len(trs) != 2 {
 		t.Fatalf("overlaid sub-world hops folded into %d tracks, want 2", len(trs))
 	}
+}
+
+// TestMalformedCapturesError: hop spans before time 0 and hop ranks
+// outside the capture's torus are malformed input, reported as errors by
+// every renderer rather than as index or torus panics.
+func TestMalformedCapturesError(t *testing.T) {
+	for name, f := range map[string]*trace.File{
+		"hop before time 0": {SchemaVersion: trace.FileSchemaVersion, Dims: "2x1x1", Events: []trace.Event{
+			ev(-5000, 5000, "wire.(0,0,0)X+", "hop", 1, 0, "leg=put seq=0 from=0 to=1"),
+		}},
+		"rank outside dims": {SchemaVersion: trace.FileSchemaVersion, Dims: "2x1x1", Events: []trace.Event{
+			ev(1000, 2000, "wire.(0,0,0)X+", "hop", 1, 0, "leg=put seq=0 from=-7 to=1"),
+		}},
+		"rank outside world dims": {SchemaVersion: trace.FileSchemaVersion, Events: []trace.Event{
+			ev(1000, 2000, "wire.(0,0,0)X+", "hop", 1, 0, "leg=put seq=0 from=0 to=2"),
+			{T: 0, Comp: "coll", Kind: "world", Note: "2x1x1"},
+		}},
+	} {
+		for render, fn := range map[string]func(*trace.File) ([]byte, error){
+			"Page": Page, "TimelineSVG": TimelineSVG, "SpaceTimeSVG": SpaceTimeSVG,
+		} {
+			if out, err := fn(f); err == nil {
+				t.Errorf("%s: %s rendered %d bytes, want an error", name, render, len(out))
+			}
+		}
+	}
+}
+
+// FuzzPage: whatever bytes a capture file holds, trace.ReadFile rejects
+// them or render.Page returns — a page or an error — without panicking.
+// The committed corpus holds a capture with a hop span before time 0, one
+// with a hop rank outside its dims, and a legacy bare-array capture.
+func FuzzPage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tf, err := trace.ReadFile(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		Page(tf)
+	})
 }
