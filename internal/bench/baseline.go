@@ -191,9 +191,10 @@ func compareResult(d *Diff, cr, br *Result, tol float64) {
 
 // relChangePct is the signed relative change in percent. Any change from
 // an exactly-zero baseline counts as ±100% (avoids dividing by zero while
-// still flagging the cell past any sane tolerance).
+// still flagging the cell past any sane tolerance). NaN on both sides is
+// no change.
 func relChangePct(base, cur float64) float64 {
-	if base == cur {
+	if base == cur || math.IsNaN(base) && math.IsNaN(cur) {
 		return 0
 	}
 	if base == 0 {
@@ -203,9 +204,12 @@ func relChangePct(base, cur float64) float64 {
 }
 
 // worse classifies a change by unit: +1 regression, -1 improvement,
-// 0 unknown direction.
+// 0 unknown direction. A cell that became NaN is a broken measurement,
+// a regression in any unit.
 func worse(unit string, base, cur float64) int {
 	switch {
+	case math.IsNaN(cur):
+		return +1
 	case lowerBetterUnits[unit]:
 		if cur > base {
 			return +1

@@ -87,15 +87,20 @@ func TestReportValueAndColumns(t *testing.T) {
 	}
 }
 
-// A run diffed against itself must be clean at zero tolerance.
+// A run diffed against itself must be clean at zero tolerance, NaN
+// cells included.
 func TestCompareRunsSelf(t *testing.T) {
-	run := sampleRun()
-	d := CompareRuns(run, run, 0)
-	if !d.Clean() {
-		t.Fatalf("self-diff not clean:\n%s", d.Render())
-	}
-	if len(d.Improvements) != 0 || len(d.Neutral) != 0 {
-		t.Fatalf("self-diff found changes:\n%s", d.Render())
+	nan := sampleRun()
+	nan.Results[0].Report.Rows[0][1] = "NaN"
+	nan.Results[1].Report.Rows[1][1] = "NaN"
+	for _, run := range []*Run{sampleRun(), nan} {
+		d := CompareRuns(run, run, 0)
+		if !d.Clean() {
+			t.Fatalf("self-diff not clean:\n%s", d.Render())
+		}
+		if len(d.Improvements) != 0 || len(d.Neutral) != 0 {
+			t.Fatalf("self-diff found changes:\n%s", d.Render())
+		}
 	}
 }
 
@@ -124,6 +129,20 @@ func TestCompareRunsDirections(t *testing.T) {
 	}
 	if !d.Clean() {
 		t.Fatal("improvements-only diff should be clean")
+	}
+
+	// A cell that turns NaN is a regression whatever its unit: a
+	// lower-better latency, a higher-better rate, and a unitless axis.
+	cur = sampleRun()
+	cur.Results[0].Report.Rows[0][1] = "NaN"
+	cur.Results[1].Report.Rows[1][1] = "NaN"
+	cur.Results[1].Report.Rows[0][0] = "NaN"
+	d = CompareRuns(cur, base, 0)
+	if len(d.Regressions) != 3 || len(d.Improvements) != 0 || len(d.Neutral) != 0 {
+		t.Fatalf("want 3 NaN regressions, got:\n%s", d.Render())
+	}
+	if d.Clean() {
+		t.Fatal("diff with NaN cells reported Clean")
 	}
 }
 

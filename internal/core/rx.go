@@ -221,6 +221,3 @@ func (c *Card) rxFinishJob(p *sim.Proc, job *TXJob, arrival sim.Time) {
 		c.RecvCQ.TryPut(comp)
 	})
 }
-
-// SourceRank returns the rank of the card that submitted the job.
-func (j *TXJob) SourceRank() int { return j.srcRank }

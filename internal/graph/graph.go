@@ -7,7 +7,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Kronecker parameters from the graph500 reference (A,B,C,D).
@@ -231,15 +230,4 @@ func hasEdge(g *CSR, u, v int32) bool {
 		}
 	}
 	return false
-}
-
-// SortedCopy returns a CSR with sorted adjacency lists (useful for
-// deterministic comparisons in tests).
-func (g *CSR) SortedCopy() *CSR {
-	out := &CSR{N: g.N, RowPtr: append([]int64(nil), g.RowPtr...), Col: append([]int32(nil), g.Col...)}
-	for v := int32(0); v < g.N; v++ {
-		seg := out.Col[out.RowPtr[v]:out.RowPtr[v+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-	}
-	return out
 }

@@ -105,9 +105,6 @@ func (lat *Lattice) idx(x, y, z int) int { return (z*lat.L+y)*lat.L + x }
 // globalZ maps a local plane (1..NZ) to its global z coordinate.
 func (lat *Lattice) globalZ(z int) int { return ((lat.Z0+z-1)%lat.L + lat.L) % lat.L }
 
-// Sites returns the number of owned sites.
-func (lat *Lattice) Sites() int { return lat.L * lat.L * lat.NZ }
-
 // parityOf returns the checkerboard color of a global site.
 func parityOf(x, y, gz int) int { return (x + y + gz) & 1 }
 

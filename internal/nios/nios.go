@@ -22,7 +22,7 @@ type CPU struct {
 	eng      *sim.Engine
 	name     string
 	clockMHz float64
-	res      *sim.Resource
+	core     *sim.Semaphore // one unit: the core runs one task at a time
 	taskBusy map[string]sim.Duration
 	taskRuns map[string]int64
 	rec      *trace.Recorder
@@ -45,7 +45,7 @@ func New(eng *sim.Engine, name string, clockMHz float64) *CPU {
 		eng:      eng,
 		name:     name,
 		clockMHz: clockMHz,
-		res:      sim.NewResource(eng, name),
+		core:     sim.NewSemaphore(eng, 1),
 		taskBusy: map[string]sim.Duration{},
 		taskRuns: map[string]int64{},
 	}
@@ -68,7 +68,9 @@ func (c *CPU) Exec(p *sim.Proc, task string, refDur sim.Duration) {
 	}
 	d := c.Scale(refDur)
 	t0 := p.Now()
-	c.res.Use(p, d)
+	c.core.Acquire(p, 1)
+	p.Sleep(d)
+	c.core.Release(1)
 	if c.rec.Stages() {
 		c.rec.EmitSpan(t0, p.Now(), c.name, "task", 0, task)
 	}
@@ -133,6 +135,3 @@ func (c *CPU) ActiveTasks() []TaskShare {
 
 // Name returns the CPU name.
 func (c *CPU) Name() string { return c.name }
-
-// ClockMHz returns the configured clock.
-func (c *CPU) ClockMHz() float64 { return c.clockMHz }

@@ -365,12 +365,6 @@ func (f *Fabric) Attach(name string, parent *Device, spec LinkSpec, hopLat sim.D
 	return d
 }
 
-// UpChannel returns the device->parent channel (nil on the root).
-func (d *Device) UpChannel() *Channel { return d.up }
-
-// DownChannel returns the parent->device channel (nil on the root).
-func (d *Device) DownChannel() *Channel { return d.down }
-
 // Path is a directed route between two devices: the ordered channels a
 // transaction crosses plus the fixed propagation/forwarding latency.
 type Path struct {
@@ -483,12 +477,6 @@ func (p *Path) SendRaw(from sim.Time, n units.ByteSize) (senderFree, arrival sim
 	}
 	arrival = t.Add(p.latency)
 	return senderFree, arrival
-}
-
-// WriteAndWait sends n bytes and blocks p until full arrival.
-func (p *Path) WriteAndWait(pr *sim.Proc, n units.ByteSize) {
-	_, arr := p.Send(pr.Now(), n)
-	pr.SleepUntil(arr)
 }
 
 // Reader performs split-transaction memory reads from a target device with

@@ -5,28 +5,38 @@ import "testing"
 // Allocation pins for the event hot path. A 32^3 LQCD run executes on
 // the order of 10^8 events; these tests pin the invariant that the
 // steady state — scheduling, cross-shard posting, ingestion, execution —
-// performs zero heap allocations per event once the free list, heap
-// array, and outbox slabs have grown to the run's working set. Any
-// change that reintroduces a per-event allocation fails here instead of
-// showing up as GC time in a benchmark nobody reran.
+// performs zero heap allocations per event once the heap array and
+// outbox slabs have grown to the run's working set. Any change that
+// reintroduces a per-event allocation fails here instead of showing up
+// as GC time in a benchmark nobody reran.
 
-// TestStepAllocFree pins the serial engine's self-sustaining loop: an
-// AtInfra event that reschedules itself must recycle through the free
-// list, so Step (pop, recycle, callback, push) allocates nothing.
+// TestStepAllocFree pins the serial engine's self-sustaining loop for
+// every way to schedule a callback: an event that reschedules itself
+// with a reused closure is stored by value in the heap, so Step (pop,
+// callback, push) allocates nothing.
 func TestStepAllocFree(t *testing.T) {
-	eng := New()
-	next := Time(0)
-	var tick func()
-	tick = func() {
-		next = next.Add(Microsecond)
-		eng.AtInfra(next, tick)
+	cases := []struct {
+		name     string
+		schedule func(eng *Engine, fn func())
+	}{
+		{"At", func(eng *Engine, fn func()) { eng.At(eng.Now().Add(Microsecond), fn) }},
+		{"After", func(eng *Engine, fn func()) { eng.After(Microsecond, fn) }},
+		{"AtInfra", func(eng *Engine, fn func()) { eng.AtInfra(eng.Now().Add(Microsecond), fn) }},
+		{"AtInfraKeyed", func(eng *Engine, fn func()) { eng.AtInfraKeyed(eng.Now().Add(Microsecond), 1, fn) }},
 	}
-	eng.AtInfra(next, tick)
-	for i := 0; i < 64; i++ { // warm the free list and heap array
-		eng.Step()
-	}
-	if allocs := testing.AllocsPerRun(256, func() { eng.Step() }); allocs != 0 {
-		t.Errorf("Engine.Step allocated %.1f objects per event, want 0", allocs)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := New()
+			var tick func()
+			tick = func() { c.schedule(eng, tick) }
+			c.schedule(eng, tick)
+			for i := 0; i < 64; i++ { // warm the heap array
+				eng.Step()
+			}
+			if allocs := testing.AllocsPerRun(256, func() { eng.Step() }); allocs != 0 {
+				t.Errorf("Engine.Step with %s allocated %.1f objects per event, want 0", c.name, allocs)
+			}
+		})
 	}
 }
 
@@ -56,8 +66,8 @@ func TestPostAllocFree(t *testing.T) {
 // TestGroupRoundAllocFree pins the full cross-shard cycle — Post into
 // the outbox, barrier ingestion into the destination heap, Step on the
 // destination — at zero allocations per message in steady state: the
-// outbox slab is truncated in place and ingested events come from and
-// return to the destination engine's free list.
+// outbox slab is truncated in place and ingestion copies each event into
+// the destination heap's array.
 func TestGroupRoundAllocFree(t *testing.T) {
 	eng := New()
 	g := NewGroup(eng, 2, Microsecond)
@@ -70,7 +80,7 @@ func TestGroupRoundAllocFree(t *testing.T) {
 		g.ingest()
 		e1.Step()
 	}
-	for i := 0; i < 64; i++ { // warm slab, free list, heap
+	for i := 0; i < 64; i++ { // warm slab and heap
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(256, cycle); allocs != 0 {
@@ -78,13 +88,12 @@ func TestGroupRoundAllocFree(t *testing.T) {
 	}
 }
 
-// TestWakeAllocFree pins allocation-free proc wakes: once the free list,
-// heap array and waiter queues have grown, a RunUntil window in which a
-// blocked proc is woken — by its Sleep event, a Signal Broadcast or
-// Pulse, a Semaphore grant or a Queue Put — and blocks again allocates
-// nothing. Wake events carry the proc instead of a closure and are
-// pooled, waiter queues reuse their arrays, and blocking stores its
-// reason without formatting it.
+// TestWakeAllocFree pins allocation-free proc wakes: once the heap array
+// and waiter queues have grown, a RunUntil window in which a blocked
+// proc is woken — by its Sleep event, a Signal Broadcast or Pulse, a
+// Semaphore grant or a Queue Put — and blocks again allocates nothing.
+// Wake events carry the proc instead of a closure, waiter queues reuse
+// their arrays, and blocking stores its reason without formatting it.
 func TestWakeAllocFree(t *testing.T) {
 	// ticker reschedules fn every microsecond as infra bookkeeping, which
 	// TestStepAllocFree already pins alloc-free.
@@ -155,7 +164,7 @@ func TestWakeAllocFree(t *testing.T) {
 			defer eng.Shutdown()
 			c.setup(eng)
 			window := func() { eng.RunUntil(eng.Now().Add(Microsecond)) }
-			for i := 0; i < 64; i++ { // warm the free list, heap and queues
+			for i := 0; i < 64; i++ { // warm the heap and queues
 				window()
 			}
 			steps := eng.Steps()

@@ -18,6 +18,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	for i := 0; i < pending; i++ {
 		eng.After(sim.Duration(i)*sim.Nanosecond, tick)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
@@ -28,17 +29,16 @@ func BenchmarkEngineStep(b *testing.B) {
 // with a ping-pong workload: each op is one cross-shard round trip — two
 // windowed rounds, each carrying one Post, one barrier ingestion, one
 // worker activation, and one executed event. It is the A/B meter for the
-// per-round overhead (worker handoff, mailbox slabs, event pooling)
+// per-round overhead (worker handoff, mailbox slabs, heap ingestion)
 // independent of any model code.
 //
-// linux/amd64 (2.1 GHz Xeon, single core), -benchmem -benchtime 200000x,
-// this commit:
+// linux/amd64 (2.1 GHz Xeon, single core), -benchmem -benchtime 200000x:
 //
 //	BenchmarkGroupRound    ~1000 ns/op    0 B/op    0 allocs/op
 //
-// versus the seed (per-round go func + sync.WaitGroup, per-message Event
-// allocation): ~1430 ns/op, 224 B/op, 6 allocs/op — the persistent
-// workers and free list remove every steady-state allocation (6 -> 0
+// versus a per-round go func + sync.WaitGroup and a per-message event
+// allocation: ~1430 ns/op, 224 B/op, 6 allocs/op — persistent workers
+// and reused event storage remove every steady-state allocation (6 -> 0
 // allocs/op) and ~30% of the round-trip time on one core.
 func BenchmarkGroupRound(b *testing.B) {
 	eng := sim.New()

@@ -5,55 +5,60 @@ import (
 	"sort"
 )
 
-// Event is a scheduled callback. It can be canceled before it fires.
-type Event struct {
-	t        Time
-	seq      uint64
-	fn       func()
-	idx      int // heap index, -1 when not queued
-	canceled bool
-
-	// Sharded execution (see Group). Events ingested from another
-	// shard's mailbox carry ext=true plus the sender's (shard, seq) so
-	// the merge order is a function of timestamps alone, never of worker
-	// scheduling. infra marks bookkeeping events of the cross-shard
-	// protocols themselves (mailbox ingestion, credit grants, barrier
-	// rendezvous): they execute like any event but are excluded from the
-	// step count, keeping nsteps comparable with the serial engine.
-	ext    bool
-	extSrc int
-	extSeq uint64
-	infra  bool
-
-	// pooled events return to the engine's free list when they fire.
-	// Only events whose pointer never escapes the sim package (mailbox
-	// ingestions, AtInfra bookkeeping) are pooled: an *Event returned by
-	// At/After may be held by the caller for Cancel, and recycling it
-	// would alias a later, unrelated event. The free list is per-engine
-	// and only touched by that engine's own execution, so reuse order is
-	// deterministic — unlike sync.Pool, it cannot vary with scheduling.
-	pooled bool
-
-	// key, when non-zero, is a model-level total order for events that
-	// must execute in the same relative order serially and sharded (link
-	// calendar bookings). At equal time, keyed events run after all
-	// unkeyed ones and among themselves in key order — regardless of
-	// which shard posted them or in what sequence. See AtInfraKeyed.
-	key uint64
-	// tie, when non-zero, orders an ingested unkeyed event among the
-	// ingested events of equal time by model state instead of by its
-	// sender's (shard, seq): tied events run after untied ones and in tie
-	// order among themselves. See PostTied.
-	tie uint64
-
+// event is one scheduled callback, held by value in the engine's heap.
+type event struct {
+	t  Time
+	fn func()
 	// proc, when set, is the proc this event resumes in place of a
-	// callback: the start, Sleep, Signal and Semaphore wakes. Such events
-	// are pooled, so a wake allocates nothing.
+	// callback: the start, Sleep, Signal and Semaphore wakes.
 	proc *Proc
+	// seq is the engine's sequence number for a local event and the
+	// sender's Post sequence number for an ingested one; src is the
+	// sender's shard (0 for local events).
+	seq uint64
+	// order is the tie of a tied event or the key of a keyed one (see
+	// PostTied and AtInfraKeyed), 0 otherwise.
+	order uint64
+	src   int32
+	class uint8
+	// infra marks bookkeeping events (mailbox ingestion, credit grants,
+	// barrier rendezvous, hop bookings): they execute like any event but
+	// are excluded from the step count, keeping nsteps comparable between
+	// serial and sharded runs.
+	infra bool
 }
 
-// Time returns the time at which the event is scheduled to fire.
-func (ev *Event) Time() Time { return ev.t }
+// Event classes, in the order equal-time events run: the engine's own
+// events, then events ingested from other shards' mailboxes, untied
+// (Post) before tied (PostTied), and last the keyed bookings
+// (AtInfraKeyed, PostKeyed).
+const (
+	local uint8 = iota
+	untied
+	tied
+	keyed
+)
+
+// eventLess orders the heap by the tuple (t, class, order, src, seq).
+// Every field is a pure function of timestamps, model keys and sequence
+// numbers, so the merge order of a sharded run never depends on worker
+// scheduling, and keyed events (calendar bookings) run in the same order
+// whether they sit in one serial heap or arrived from different shards.
+func eventLess(a, b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.class != b.class {
+		return a.class < b.class
+	}
+	if a.order != b.order {
+		return a.order < b.order
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
 
 // Engine is a deterministic discrete-event scheduler.
 //
@@ -75,7 +80,7 @@ func (ev *Event) Time() Time { return ev.t }
 type Engine struct {
 	now     Time
 	workEnd Time // time of the last executed non-infra event
-	heap    []heapEntry
+	heap    []event
 	seq     uint64
 	nsteps  uint64
 	peak    int // high-water mark of the event queue
@@ -87,11 +92,6 @@ type Engine struct {
 	// Group. shard is its index within the group.
 	group *Group
 	shard int
-
-	// free recycles fired pooled events (see Event.pooled). Bounded by
-	// the event-queue high-water mark, it turns the per-message Event
-	// allocation of mailbox ingestion into a pointer swap.
-	free []*Event
 
 	// The current window: events stamped at or before until run in it.
 	until Time
@@ -148,30 +148,23 @@ func (e *Engine) PeakPending() int { return e.peak }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: that is always a model bug.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < now %v)", t, e.now))
+func (e *Engine) At(t Time, fn func()) {
+	e.schedule(&event{t: t, fn: fn})
+}
+
+// After schedules fn to run d after the current time.
+func (e *Engine) After(d Duration, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	ev := e.alloc()
-	ev.t, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
-	e.push(ev)
-	return ev
+	e.At(e.now.Add(d), fn)
 }
 
 // AtInfra schedules fn at absolute time t as infrastructure bookkeeping:
 // it executes like any event but is excluded from the step count (the
-// serial-engine counterpart of an infra Post). The event cannot be
-// canceled — no handle escapes, which is what lets it return to the
-// free list when it fires.
+// serial-engine counterpart of an infra Post).
 func (e *Engine) AtInfra(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < now %v)", t, e.now))
-	}
-	ev := e.alloc()
-	ev.t, ev.seq, ev.fn, ev.infra, ev.pooled = t, e.seq, fn, true, true
-	e.seq++
-	e.push(ev)
+	e.schedule(&event{t: t, fn: fn, infra: true})
 }
 
 // AtInfraKeyed is AtInfra with a model-level tie key: at equal time,
@@ -179,72 +172,36 @@ func (e *Engine) AtInfra(t Time, fn func()) {
 // in ascending key order. The key must be a pure function of model
 // state (e.g. packed (card rank, packet seq)), never of scheduling —
 // that is what lets a serial heap and a sharded mailbox merge agree on
-// the order of same-time calendar bookings. key must be non-zero.
+// the order of same-time calendar bookings.
 func (e *Engine) AtInfraKeyed(t Time, key uint64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < now %v)", t, e.now))
-	}
-	ev := e.alloc()
-	ev.t, ev.seq, ev.fn, ev.infra, ev.pooled, ev.key = t, e.seq, fn, true, true, key
-	e.seq++
-	e.push(ev)
+	e.schedule(&event{t: t, fn: fn, order: key, class: keyed, infra: true})
 }
 
 // wakeAt schedules a counted event at t that resumes p.
 func (e *Engine) wakeAt(t Time, p *Proc) {
-	ev := e.alloc()
-	ev.t, ev.seq, ev.proc, ev.pooled = t, e.seq, p, true
+	e.schedule(&event{t: t, proc: p})
+}
+
+// schedule stamps a local event with the engine's next sequence number
+// and queues it. Scheduling in the past panics.
+func (e *Engine) schedule(ev *event) {
+	if ev.t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past (%v < now %v)", ev.t, e.now))
+	}
+	ev.seq = e.seq
 	e.seq++
 	e.push(ev)
-}
-
-// alloc returns a zeroed Event, reusing the free list when possible.
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{}
-}
-
-// recycle returns a fired pooled event to the free list.
-func (e *Engine) recycle(ev *Event) {
-	*ev = Event{}
-	e.free = append(e.free, ev)
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now.Add(d), fn)
-}
-
-// Cancel prevents a scheduled event from firing. Canceling an event that
-// already fired (or was already canceled) is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.idx < 0 {
-		if ev != nil {
-			ev.canceled = true
-		}
-		return
-	}
-	ev.canceled = true
-	e.remove(ev)
 }
 
 // Step executes the single next event and, when it resumes a proc, lets
 // that proc run until it blocks. It returns false when the event queue
 // is empty.
 func (e *Engine) Step() bool {
-	ev := e.pop()
-	if ev == nil {
+	if len(e.heap) == 0 {
 		return false
 	}
 	e.open(closed)
-	if p := e.exec(ev); p != nil {
+	if p := e.exec(); p != nil {
 		e.handOff(p)
 	}
 	return true
@@ -292,7 +249,7 @@ func (e *Engine) handOff(p *Proc) {
 // that proc, or nil once the window has no event left.
 func (e *Engine) next() *Proc {
 	for len(e.heap) > 0 && e.heap[0].t <= e.until {
-		if p := e.exec(e.pop()); p != nil {
+		if p := e.exec(); p != nil {
 			return p
 		}
 	}
@@ -312,19 +269,16 @@ func (e *Engine) loop() *Proc {
 	return e.next()
 }
 
-// exec executes the popped event ev and returns the live proc it
-// resumes, if any.
-func (e *Engine) exec(ev *Event) *Proc {
-	e.now = ev.t
-	if !ev.infra {
+// exec pops and executes the earliest event and returns the live proc
+// it resumes, if any.
+func (e *Engine) exec() *Proc {
+	ev := &e.heap[0]
+	t, fn, p, infra := ev.t, ev.fn, ev.proc, ev.infra
+	e.pop()
+	e.now = t
+	if !infra {
 		e.nsteps++
-		e.workEnd = ev.t
-	}
-	p, fn := ev.proc, ev.fn
-	if ev.pooled {
-		// Recycle before running fn: the callback may schedule again and
-		// can reuse this very slot. fn never holds the event pointer.
-		e.recycle(ev)
+		e.workEnd = t
 	}
 	if p == nil {
 		e.inCallback = true
@@ -441,132 +395,53 @@ func (e *Engine) PruneHorizon() Time {
 // Group returns the Group this engine belongs to, or nil when serial.
 func (e *Engine) Group() *Group { return e.group }
 
-// heap operations: min-heap ordered by (t, seq); events ingested from
-// another shard's mailbox sort after local events at the same time,
-// ordered among themselves by tie (see PostTied), then by the sender's
-// (shard, seq). The key is a
-// pure function of timestamps and sequence numbers, so the merge order
-// is independent of worker scheduling.
+// The heap is a binary min-heap of event values under eventLess. push
+// and pop sift a hole: parents or children move one slot each, and the
+// placed event is written once at its final slot.
 
-func eventLess(a, b *Event) bool {
-	if a.t != b.t {
-		return a.t < b.t
+func (e *Engine) push(ev *event) {
+	h := append(e.heap, event{})
+	e.heap = h
+	if len(h) > e.peak {
+		e.peak = len(h)
 	}
-	// Keyed events (calendar bookings) sort after every unkeyed event at
-	// the same time and by pure key among themselves, so their order is
-	// identical whether they sit in one serial heap or arrived as posts
-	// from different shards.
-	if (a.key != 0) != (b.key != 0) {
-		return a.key == 0
-	}
-	if a.key != 0 {
-		return a.key < b.key
-	}
-	if a.ext != b.ext {
-		return !a.ext // local events before ingested ones at equal time
-	}
-	if !a.ext {
-		return a.seq < b.seq
-	}
-	if a.tie != b.tie {
-		return a.tie < b.tie
-	}
-	if a.extSrc != b.extSrc {
-		return a.extSrc < b.extSrc
-	}
-	return a.extSeq < b.extSeq
-}
-
-// heapEntry is one heap slot: the event's time rides next to the pointer,
-// so the comparisons of a sift resolve without loading the events unless
-// their times tie.
-type heapEntry struct {
-	t  Time
-	ev *Event
-}
-
-func entryLess(a, b heapEntry) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return eventLess(a.ev, b.ev)
-}
-
-func (e *Engine) push(ev *Event) {
-	e.heap = append(e.heap, heapEntry{ev.t, ev})
-	if len(e.heap) > e.peak {
-		e.peak = len(e.heap)
-	}
-	e.up(len(e.heap) - 1)
-}
-
-func (e *Engine) peek() *Event {
-	if len(e.heap) == 0 {
-		return nil
-	}
-	return e.heap[0].ev
-}
-
-func (e *Engine) pop() *Event {
-	if len(e.heap) == 0 {
-		return nil
-	}
-	ev := e.heap[0].ev
-	e.remove(ev)
-	return ev
-}
-
-func (e *Engine) remove(ev *Event) {
-	i := ev.idx
-	last := len(e.heap) - 1
-	if i != last {
-		e.heap[i] = e.heap[last]
-	}
-	e.heap = e.heap[:last]
-	ev.idx = -1
-	if i < len(e.heap) && e.down(i) == i {
-		e.up(i)
-	}
-}
-
-// up and down sift the entry at i through a hole: parents or children
-// move one slot each, and the entry is written once at its final slot.
-
-func (e *Engine) up(i int) {
-	x := e.heap[i]
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(x, e.heap[parent]) {
+		if !eventLess(ev, &h[parent]) {
 			break
 		}
-		e.heap[i] = e.heap[parent]
-		e.heap[i].ev.idx = i
+		h[i] = h[parent]
 		i = parent
 	}
-	e.heap[i] = x
-	x.ev.idx = i
+	h[i] = *ev
 }
 
-// down returns the entry's final slot.
-func (e *Engine) down(i int) int {
-	x := e.heap[i]
-	n := len(e.heap)
+// pop removes the earliest event; the heap must not be empty.
+func (e *Engine) pop() {
+	h := e.heap
+	n := len(h) - 1
+	x := h[n]
+	h[n] = event{} // drop the fired callback's references
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return
+	}
+	i := 0
 	for {
 		small := 2*i + 1
 		if small >= n {
 			break
 		}
-		if r := small + 1; r < n && entryLess(e.heap[r], e.heap[small]) {
+		if r := small + 1; r < n && eventLess(&h[r], &h[small]) {
 			small = r
 		}
-		if !entryLess(e.heap[small], x) {
+		if !eventLess(&h[small], &x) {
 			break
 		}
-		e.heap[i] = e.heap[small]
-		e.heap[i].ev.idx = i
+		h[i] = h[small]
 		i = small
 	}
-	e.heap[i] = x
-	x.ev.idx = i
-	return i
+	h[i] = x
 }

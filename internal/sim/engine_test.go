@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -34,19 +33,6 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 			t.Fatalf("same-time events not FIFO at %d: got %d", i, v)
 		}
 	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.After(Nanosecond, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	// Double cancel is a no-op.
-	e.Cancel(ev)
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
@@ -127,34 +113,6 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: canceling a random subset leaves exactly the others to fire.
-func TestEngineCancelProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 50; iter++ {
-		e := New()
-		n := 200
-		fired := make([]bool, n)
-		evs := make([]*Event, n)
-		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = e.After(Duration(rng.Intn(1000))*Nanosecond, func() { fired[i] = true })
-		}
-		keep := make([]bool, n)
-		for i := range keep {
-			keep[i] = rng.Intn(2) == 0
-			if !keep[i] {
-				e.Cancel(evs[i])
-			}
-		}
-		e.Run()
-		for i := range keep {
-			if fired[i] != keep[i] {
-				t.Fatalf("iter %d ev %d: fired=%v keep=%v", iter, i, fired[i], keep[i])
-			}
-		}
 	}
 }
 

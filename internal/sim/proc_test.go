@@ -321,8 +321,8 @@ func TestWindowsStopMidChain(t *testing.T) {
 			if e.Now() != bound {
 				t.Fatalf("RunUntil(%v) left the clock at %v", bound, e.Now())
 			}
-			if ev := e.peek(); ev != nil && ev.t <= bound {
-				t.Fatalf("RunUntil(%v) left an event at %v", bound, ev.t)
+			if len(e.heap) > 0 && e.heap[0].t <= bound {
+				t.Fatalf("RunUntil(%v) left an event at %v", bound, e.heap[0].t)
 			}
 			if n := len(*trace); n > 0 && (*trace)[n-1].at > bound {
 				t.Fatalf("RunUntil(%v) ran past its bound: %v", bound, (*trace)[n-1])

@@ -26,17 +26,15 @@ import "fmt"
 // (Step rewinds the clock to the event's stamp), which keeps every
 // computed timestamp exact while relaxing execution order.
 //
-// Determinism: the merge order of ingested events is the pure key
-// (time, source shard, source sequence) — see eventLess — and rounds
-// are separated by full barriers, so results are a function of the
-// model and the shard mapping only, never of worker scheduling. The
-// serial path (no group) is untouched: a world built without a Group
-// runs today's exact event order.
+// Determinism: the merge order of ingested events is the pure tuple
+// (time, class, order, source shard, source sequence) — see eventLess —
+// and rounds are separated by full barriers, so results are a function
+// of the model and the shard mapping only, never of worker scheduling.
 type Group struct {
 	engines   []*Engine
 	lookahead Duration
-	outbox    [][][]extMsg // [src][dst], written only by src's worker
-	postSeq   []uint64     // per-source Post counter
+	outbox    [][][]event // [src][dst], written only by src's worker
+	postSeq   []uint64    // per-source Post counter
 	running   bool
 	// floor is the current round's minNext: a global lower bound on the
 	// stamp of any event still to execute, and therefore on the `from` of
@@ -69,16 +67,6 @@ type Group struct {
 	busyFlags []bool // reused per-round scratch handed to OnRound
 }
 
-// extMsg is one cross-shard message awaiting ingestion.
-type extMsg struct {
-	t     Time
-	seq   uint64
-	key   uint64 // non-zero: model-level tie key (see Event.key)
-	tie   uint64 // non-zero: model-level order among ingested events (see Event.tie)
-	infra bool
-	fn    func()
-}
-
 // NewGroup builds a sharded execution group of n shards around an
 // existing engine, which becomes shard 0; n-1 sibling engines are
 // created sharing its Account (without counting as extra engines, so
@@ -99,7 +87,7 @@ func NewGroup(eng *Engine, n int, lookahead Duration) *Group {
 	g := &Group{
 		engines:   make([]*Engine, n),
 		lookahead: lookahead,
-		outbox:    make([][][]extMsg, n),
+		outbox:    make([][][]event, n),
 		postSeq:   make([]uint64, n),
 		busyFlags: make([]bool, n),
 	}
@@ -112,7 +100,7 @@ func NewGroup(eng *Engine, n int, lookahead Duration) *Group {
 	for i, e := range g.engines {
 		e.group = g
 		e.shard = i
-		g.outbox[i] = make([][]extMsg, n)
+		g.outbox[i] = make([][]event, n)
 	}
 	return g
 }
@@ -135,7 +123,7 @@ func (g *Group) Running() bool { return g.running }
 // rounds). t may lie in the destination's past; it then executes
 // retroactively at the next barrier.
 func (e *Engine) Post(dst int, t Time, infra bool, fn func()) {
-	e.post("Post", dst, extMsg{t: t, infra: infra, fn: fn})
+	e.post("Post", dst, event{t: t, fn: fn, class: untied, infra: infra})
 }
 
 // PostKeyed is Post with a model-level tie key (see AtInfraKeyed): the
@@ -146,58 +134,45 @@ func (e *Engine) Post(dst int, t Time, infra bool, fn func()) {
 // never ingested retroactively: every shard sees all same-time keyed
 // events before executing any of them.
 func (e *Engine) PostKeyed(dst int, t Time, key uint64, fn func()) {
-	e.post("PostKeyed", dst, extMsg{t: t, key: key, infra: true, fn: fn})
+	e.post("PostKeyed", dst, event{t: t, fn: fn, order: key, class: keyed, infra: true})
 }
 
 // PostTied is a counted Post whose order among the events ingested for
-// the same time is the model-level tie (non-zero) rather than the
-// sender's (shard, seq): tied events execute after untied ingested ones
-// and in tie order among themselves, so same-time arrivals from
-// different senders — packets converging on one card — merge in one
-// order at every shard count. Like any unkeyed ingested event it runs
-// after the destination's local events of that time and before keyed
-// bookings.
+// the same time is the model-level tie rather than the sender's (shard,
+// seq): tied events execute after untied ingested ones and in tie order
+// among themselves, so same-time arrivals from different senders —
+// packets converging on one card — merge in one order at every shard
+// count. Like any unkeyed ingested event it runs after the
+// destination's local events of that time and before keyed bookings.
 func (e *Engine) PostTied(dst int, t Time, tie uint64, fn func()) {
-	e.post("PostTied", dst, extMsg{t: t, tie: tie, fn: fn})
+	e.post("PostTied", dst, event{t: t, fn: fn, order: tie, class: tied})
 }
 
-// post appends m, stamped with the sender's next sequence number, to the
-// outbox for shard dst.
-func (e *Engine) post(op string, dst int, m extMsg) {
+// post appends ev, stamped with the sender's shard and next sequence
+// number, to the outbox for shard dst.
+func (e *Engine) post(op string, dst int, ev event) {
 	g := e.group
 	if g == nil {
 		panic("sim: " + op + " on an engine outside a group")
 	}
 	src := e.shard
-	m.seq = g.postSeq[src]
+	ev.src, ev.seq = int32(src), g.postSeq[src]
 	g.postSeq[src]++
-	g.outbox[src][dst] = append(g.outbox[src][dst], m)
+	g.outbox[src][dst] = append(g.outbox[src][dst], ev)
 }
 
-// ingest drains every mailbox into the destination heaps. The heap key
-// (t, ext, src, seq) totally orders ingested events, so insertion order
-// is irrelevant. Returns true if any message moved.
-func (g *Group) ingest() bool {
-	any := false
+// ingest drains every mailbox into the destination heaps. The heap order
+// (t, class, order, src, seq) totally orders ingested events, so
+// insertion order is irrelevant.
+func (g *Group) ingest() {
 	for src := range g.engines {
-		for dst := range g.engines {
-			msgs := g.outbox[src][dst]
-			if len(msgs) == 0 {
-				continue
-			}
-			e := g.engines[dst]
-			for _, m := range msgs {
-				ev := e.alloc()
-				ev.t, ev.fn, ev.key, ev.tie = m.t, m.fn, m.key, m.tie
-				ev.ext, ev.extSrc, ev.extSeq, ev.infra = true, src, m.seq, m.infra
-				ev.pooled = true
-				e.push(ev)
+		for dst, msgs := range g.outbox[src] {
+			for i := range msgs {
+				g.engines[dst].push(&msgs[i])
 			}
 			g.outbox[src][dst] = msgs[:0]
-			any = true
 		}
 	}
-	return any
 }
 
 // startWorkers spawns the persistent per-shard workers, once per group.
@@ -242,7 +217,7 @@ func (g *Group) run() {
 		horizon := minNext.Add(g.lookahead)
 		active := 0
 		for i, e := range g.engines {
-			if ev := e.peek(); ev == nil || ev.t >= horizon {
+			if len(e.heap) == 0 || e.heap[0].t >= horizon {
 				g.busyFlags[i] = false
 				continue
 			}
@@ -285,8 +260,8 @@ func (g *Group) minPending() (Time, bool) {
 	var min Time
 	found := false
 	for _, e := range g.engines {
-		if ev := e.peek(); ev != nil && (!found || ev.t < min) {
-			min = ev.t
+		if len(e.heap) > 0 && (!found || e.heap[0].t < min) {
+			min = e.heap[0].t
 			found = true
 		}
 	}

@@ -32,7 +32,8 @@ func TestRunUntilFlushesAccount(t *testing.T) {
 
 // shardKey is the deterministic merge key of one executed event: local
 // events order by (t, seq) before ingested events at the same time,
-// which order by (t, srcShard, srcSeq). It mirrors eventLess exactly.
+// which order by (t, srcShard, srcSeq). It mirrors eventLess for the
+// two classes this test schedules, local and untied.
 type shardKey struct {
 	t     Time
 	ext   bool
@@ -196,9 +197,11 @@ func TestShardRetroactivePost(t *testing.T) {
 	}
 }
 
-// TestShardPostTiedOrder checks that same-time tied posts execute in tie
-// order whatever shard sent them, after untied posts of that time, and
-// count as steps.
+// TestShardPostTiedOrder checks the order of same-time events on one
+// shard: local events first, then untied posts, then tied posts in tie
+// order whatever shard sent them, then keyed events in key order whether
+// scheduled locally or posted. Tied posts count as steps, keyed events
+// do not.
 func TestShardPostTiedOrder(t *testing.T) {
 	acct := &Account{}
 	eng := NewWithAccount(acct)
@@ -207,19 +210,27 @@ func TestShardPostTiedOrder(t *testing.T) {
 	at := Time(20 * Nanosecond)
 	log := func(s string) func() { return func() { got = append(got, s) } }
 	// Shard 2 holds the lowest tie, shard 1 the highest; shard 0's untied
-	// post goes first regardless.
+	// post goes first regardless, and its local keyed event runs after
+	// shard 1's lower-keyed post.
 	g.Engine(2).At(Time(1*Nanosecond), func() {
 		g.Engine(2).PostTied(0, at, 1, log("tie1"))
 		g.Engine(2).PostTied(0, at, 3, log("tie3"))
 	})
-	g.Engine(1).At(Time(1*Nanosecond), func() { g.Engine(1).PostTied(0, at, 2, log("tie2")) })
-	g.Engine(0).At(Time(1*Nanosecond), func() { g.Engine(0).Post(0, at, false, log("untied")) })
+	g.Engine(1).At(Time(1*Nanosecond), func() {
+		g.Engine(1).PostKeyed(0, at, 4, log("key4"))
+		g.Engine(1).PostTied(0, at, 2, log("tie2"))
+	})
+	g.Engine(0).At(Time(1*Nanosecond), func() {
+		g.Engine(0).AtInfraKeyed(at, 5, log("key5"))
+		g.Engine(0).Post(0, at, false, log("untied"))
+		g.Engine(0).At(at, log("local"))
+	})
 	eng.Run()
-	if want := "untied tie1 tie2 tie3"; strings.Join(got, " ") != want {
+	if want := "local untied tie1 tie2 tie3 key4 key5"; strings.Join(got, " ") != want {
 		t.Fatalf("execution order %q, want %q", strings.Join(got, " "), want)
 	}
-	if steps := acct.Steps(); steps != 7 {
-		t.Fatalf("account has %d steps, want 7 (3 local + 4 counted posts)", steps)
+	if steps := acct.Steps(); steps != 8 {
+		t.Fatalf("account has %d steps, want 8 (4 local + 4 counted posts)", steps)
 	}
 }
 

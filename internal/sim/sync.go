@@ -106,12 +106,6 @@ func (s *Semaphore) drain() {
 	}
 }
 
-// Available returns the number of free units.
-func (s *Semaphore) Available() int64 { return s.avail }
-
-// QueueLen returns the number of blocked acquirers.
-func (s *Semaphore) QueueLen() int { return s.queue.len() }
-
 // Queue is a bounded FIFO of items with blocking Put/Get, modeling
 // hardware queues and mailboxes. A capacity of 0 means unbounded.
 type Queue[T any] struct {
@@ -169,9 +163,6 @@ func (q *Queue[T]) TryGet() (T, bool) {
 
 // Len returns the current number of queued items.
 func (q *Queue[T]) Len() int { return q.items.len() }
-
-// Cap returns the queue capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.capacity }
 
 // ByteFIFO models a byte-granularity hardware FIFO (like the APEnet+
 // 32 KB TX FIFO) with blocking producers/consumers and level thresholds
@@ -237,59 +228,8 @@ func (f *ByteFIFO) WaitLevelBelow(p *Proc, mark int64) {
 // Level returns the current fill level in bytes.
 func (f *ByteFIFO) Level() int64 { return f.level }
 
-// Capacity returns the FIFO capacity in bytes.
-func (f *ByteFIFO) Capacity() int64 { return f.capacity }
-
 // Free returns the remaining space in bytes.
 func (f *ByteFIFO) Free() int64 { return f.capacity - f.level }
-
-// Resource is a serial FIFO server with utilization accounting: callers
-// Use it for a duration; concurrent users queue. It models links, DMA
-// engines, and any one-at-a-time hardware block.
-type Resource struct {
-	name string
-	sem  *Semaphore
-	busy Duration
-	uses int64
-}
-
-// NewResource returns a serial resource named name.
-func NewResource(e *Engine, name string) *Resource {
-	return &Resource{name: name, sem: NewSemaphore(e, 1)}
-}
-
-// Use occupies the resource for d, after waiting for its turn.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.sem.Acquire(p, 1)
-	p.Sleep(d)
-	r.busy += d
-	r.uses++
-	r.sem.Release(1)
-}
-
-// Acquire takes exclusive ownership without a fixed duration; pair it
-// with Release. Busy time is not accounted for in this mode.
-func (r *Resource) Acquire(p *Proc) { r.sem.Acquire(p, 1) }
-
-// Release returns ownership taken by Acquire.
-func (r *Resource) Release() { r.sem.Release(1) }
-
-// BusyTime returns the total time spent serving Use calls.
-func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Uses returns the number of completed Use calls.
-func (r *Resource) Uses() int64 { return r.uses }
-
-// Utilization returns busy time divided by now (0 if now is 0).
-func (r *Resource) Utilization(now Time) float64 {
-	if now == 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(now)
-}
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // fifo is a slice-backed FIFO that keeps its backing array: pop advances
 // a head index and rewinds to the start once the FIFO empties, and push

@@ -183,34 +183,6 @@ func TestByteFIFOWaitLevelBelow(t *testing.T) {
 	}
 }
 
-func TestResourceSerializes(t *testing.T) {
-	e := New()
-	r := NewResource(e, "link")
-	var done []Time
-	for i := 0; i < 3; i++ {
-		e.Go("u", func(p *Proc) {
-			r.Use(p, 10*Microsecond)
-			done = append(done, p.Now())
-		})
-	}
-	e.Run()
-	want := []Time{Time(10 * Microsecond), Time(20 * Microsecond), Time(30 * Microsecond)}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("done[%d] = %v, want %v", i, done[i], want[i])
-		}
-	}
-	if r.BusyTime() != 30*Microsecond {
-		t.Fatalf("busy = %v", r.BusyTime())
-	}
-	if u := r.Utilization(e.Now()); u < 0.99 || u > 1.01 {
-		t.Fatalf("utilization = %f", u)
-	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d", r.Uses())
-	}
-}
-
 func TestSignalPulseWakesOne(t *testing.T) {
 	e := New()
 	s := NewSignal(e)

@@ -10,8 +10,8 @@
 //     hardware engines and firmware loops and may block on time (Sleep)
 //     or on synchronization objects.
 //   - Synchronization primitives with FIFO fairness: Signal, Semaphore,
-//     Queue, ByteFIFO and Resource. These model mailboxes, FIFOs with
-//     backpressure, and serial servers (links, DMA engines, processors).
+//     Queue and ByteFIFO. These model mailboxes, FIFOs with backpressure,
+//     and serial servers (a one-unit Semaphore: DMA engines, processors).
 //
 // Simulated time has picosecond resolution, which keeps bandwidth/latency
 // arithmetic exact enough for PCIe-level modeling (an 80 ns request cadence,
@@ -59,9 +59,6 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
 // Nanos returns the duration as a float64 number of nanoseconds.
 func (d Duration) Nanos() float64 { return float64(d) / float64(Nanosecond) }
-
-// Picos returns the duration as a float64 number of picoseconds.
-func (d Duration) Picos() float64 { return float64(d) }
 
 // FromSeconds converts a float64 number of seconds into a Duration,
 // rounding to the nearest picosecond.
