@@ -140,6 +140,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "apebench: -shards %d: want at least 1 (the serial engine)\n", *shards)
 		os.Exit(2)
 	}
+	if err := bench.CheckTolerance(*tolerance); err != nil {
+		fmt.Fprintf(os.Stderr, "apebench: -%v\n", err)
+		os.Exit(2)
+	}
 	if *list {
 		listExperiments(*group)
 		return

@@ -61,6 +61,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "apesweep: -run is required (see -h)")
 		os.Exit(2)
 	}
+	if err := bench.CheckTolerance(*tolerance); err != nil {
+		fmt.Fprintf(os.Stderr, "apesweep: -%v\n", err)
+		os.Exit(2)
+	}
 	exps, err := bench.Select(strings.Split(*runSel, ","))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apesweep: %v\n", err)

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"apenetsim/internal/cluster"
@@ -24,23 +26,41 @@ import (
 )
 
 func main() {
-	sizeStr := flag.String("size", "1M", "transfer size (e.g. 64K, 1M)")
-	version := flag.Int("version", 2, "GPU_P2P_TX generation (1, 2, 3)")
-	windowStr := flag.String("window", "32K", "prefetch window")
-	csv := flag.Bool("csv", false, "dump the capture as CSV")
-	jsonOut := flag.Bool("json", false, "dump the capture as JSON")
-	summary := flag.Bool("summary", true, "print the per-component summary")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, traces one GPU peer-to-peer PUT and
+// writes the capture to stdout, returning the exit status — 2 for a bad
+// flag, 1 for a failed run or write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pciescope", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sizeStr := fs.String("size", "1M", "transfer size (e.g. 64K, 1M)")
+	version := fs.Int("version", 2, "GPU_P2P_TX generation (1, 2, 3)")
+	windowStr := fs.String("window", "32K", "prefetch window")
+	csv := fs.Bool("csv", false, "dump the capture as CSV")
+	jsonOut := fs.Bool("json", false, "dump the capture as JSON")
+	summary := fs.Bool("summary", true, "print the per-component summary")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	size, err := units.ParseByteSize(*sizeStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pciescope:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pciescope:", err)
+		return 2
+	}
+	if size <= 0 {
+		fmt.Fprintf(stderr, "pciescope: -size %v: want a positive transfer size\n", size)
+		return 2
 	}
 	window, err := units.ParseByteSize(*windowStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pciescope:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pciescope:", err)
+		return 2
 	}
 
 	eng := sim.New()
@@ -51,26 +71,33 @@ func main() {
 	rec := trace.New()
 	cl, err := cluster.SingleNode(eng, rec, cfg, gpu.Fermi2050())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pciescope:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pciescope:", err)
+		return 1
 	}
 	node := cl.Nodes[0]
 	ep := rdma.NewEndpoint(node.Card)
 	var start, done sim.Time
+	var runErr error
 	eng.Go("scope", func(p *sim.Proc) {
 		src, err := ep.NewGPUBuffer(p, node.GPU(0), size)
 		if err != nil {
-			panic(err)
+			runErr = err
+			return
 		}
 		start = p.Now()
 		if _, err := ep.Put(p, 0, src.Addr, src, 0, size, rdma.PutFlags{}); err != nil {
-			panic(err)
+			runErr = err
+			return
 		}
 		ep.WaitSend(p)
 		done = p.Now()
 	})
 	eng.Run()
 	eng.Shutdown()
+	if runErr != nil {
+		fmt.Fprintln(stderr, "pciescope:", runErr)
+		return 1
+	}
 
 	elapsed := done.Sub(start)
 	if *jsonOut {
@@ -79,26 +106,27 @@ func main() {
 		// reads every capture. apetrace still accepts the legacy bare
 		// event-array dumps.
 		f := trace.NewFile("pciescope", fmt.Sprintf("p2p-v%d-%s", *version, size), rec)
-		if err := f.Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "pciescope:", err)
-			os.Exit(1)
+		if err := f.Write(stdout); err != nil {
+			fmt.Fprintln(stderr, "pciescope:", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	fmt.Printf("# GPU_P2P_TX v%d window=%s size=%s: %v (%s)\n",
+	fmt.Fprintf(stdout, "# GPU_P2P_TX v%d window=%s size=%s: %v (%s)\n",
 		*version, window, size, elapsed, units.Rate(size, elapsed))
 	if *csv {
-		if err := rec.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "pciescope:", err)
-			os.Exit(1)
+		if err := rec.WriteCSV(stdout); err != nil {
+			fmt.Fprintln(stderr, "pciescope:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *summary {
-		fmt.Println("# per-component capture summary:")
+		fmt.Fprintln(stdout, "# per-component capture summary:")
 		for _, s := range rec.Summarize() {
-			fmt.Printf("%-24s %-14s count=%-7d bytes=%-12d span=%v..%v\n",
+			fmt.Fprintf(stdout, "%-24s %-14s count=%-7d bytes=%-12d span=%v..%v\n",
 				s.Comp, s.Kind, s.Count, s.Bytes, s.First, s.Last)
 		}
 	}
+	return 0
 }

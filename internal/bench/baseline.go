@@ -98,6 +98,17 @@ func (d *Diff) Render() string {
 	return sb.String()
 }
 
+// CheckTolerance validates a -tolerance flag value: a finite,
+// non-negative percentage. A negative or NaN tolerance would pass no cell
+// as unchanged, and the classifier would then report equal cells as
+// improvements or neutral changes.
+func CheckTolerance(pct float64) error {
+	if math.IsNaN(pct) || math.IsInf(pct, 0) || pct < 0 {
+		return fmt.Errorf("tolerance %v%%: want a finite percentage >= 0", pct)
+	}
+	return nil
+}
+
 // CompareRuns diffs cur against base. Numeric cells that move by more
 // than tolerancePct (relative to the baseline value) are classified by
 // their column unit; textual cells and table layout must match exactly.

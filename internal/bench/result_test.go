@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,6 +156,23 @@ func TestCompareRunsTolerance(t *testing.T) {
 	}
 	if d := CompareRuns(cur, base, 0.1); d.Clean() {
 		t.Fatal("0.8% move should fail 0.1% tolerance")
+	}
+}
+
+func TestCheckTolerance(t *testing.T) {
+	for _, tc := range []struct {
+		pct float64
+		ok  bool
+	}{
+		{0, true},
+		{1.5, true},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		if err := CheckTolerance(tc.pct); (err == nil) != tc.ok {
+			t.Errorf("CheckTolerance(%v) = %v, want ok=%v", tc.pct, err, tc.ok)
+		}
 	}
 }
 

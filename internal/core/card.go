@@ -72,8 +72,11 @@ type Card struct {
 	// returns it after processing (see credit.go). On a sharded torus it
 	// is owned by this card's shard. creditSeq numbers this card's own
 	// outgoing credit requests, half of the pure tie-break key.
-	ledger    *creditLedger
-	creditSeq uint64
+	// wakeInjector resumes this card's injector, parked on a credit
+	// request: the one grant callback, bound once in Start.
+	ledger       *creditLedger
+	creditSeq    uint64
+	wakeInjector func()
 
 	// orderSeq numbers this card's injected packets; packed with the rank
 	// it forms the pure tie key ordering same-time hop bookings (see
@@ -212,7 +215,8 @@ func (c *Card) Start() {
 	}
 	c.started = true
 	c.Eng.Go(c.Name+".tx", c.runTX)
-	c.Eng.Go(c.Name+".inject", c.runInjector)
+	injector := c.Eng.Go(c.Name+".inject", c.runInjector)
+	c.wakeInjector = func() { c.Eng.Wake(injector) }
 	c.Eng.Go(c.Name+".rx", c.runRX)
 	c.Eng.Go(c.Name+".niosTX", c.runNiosTXWorker)
 	c.Eng.Go(c.Name+".getrsp", c.runGetResponder)
@@ -286,7 +290,9 @@ func (c *Card) Submit(p *sim.Proc, job *TXJob) error {
 	c.assignJobID(job)
 	job.Submitted = p.Now()
 	p.Sleep(c.Cfg.TXDriverPerMessage)
-	c.stage(job.Submitted, p.Now(), "submit", job, job.Bytes, stageNote(job, c.Rank))
+	if c.Rec.Stages() {
+		c.stage(job.Submitted, p.Now(), "submit", job, job.Bytes, stageNote(job, c.Rank))
+	}
 	c.stats.JobsSubmitted++
 	job.enqueued = p.Now()
 	c.txq.Put(p, job)
@@ -301,19 +307,18 @@ func (c *Card) assignJobID(job *TXJob) {
 	job.srcRank = c.Rank
 }
 
-// packetize splits a job into packets of at most MaxPayload.
-func (c *Card) packetize(job *TXJob) []*Packet {
-	var pkts []*Packet
+// packetize splits a job into packets of at most MaxPayload, built in
+// one slab: a job allocates its packets once, whatever their number.
+func (c *Card) packetize(job *TXJob) []Packet {
+	pkts := make([]Packet, (job.Bytes+c.Cfg.MaxPayload-1)/c.Cfg.MaxPayload)
 	remaining := job.Bytes
-	seq := 0
-	for remaining > 0 {
+	for seq := range pkts {
 		sz := c.Cfg.MaxPayload
 		if sz > remaining {
 			sz = remaining
 		}
 		remaining -= sz
-		pkts = append(pkts, &Packet{Job: job, Seq: seq, Bytes: sz, Last: remaining == 0})
-		seq++
+		pkts[seq] = Packet{Job: job, Seq: seq, Bytes: sz, Last: remaining == 0}
 	}
 	return pkts
 }
@@ -326,7 +331,7 @@ func (c *Card) packetize(job *TXJob) []*Packet {
 func (c *Card) runTX(p *sim.Proc) {
 	for {
 		job := c.txq.Get(p)
-		if job.enqueued > 0 {
+		if job.enqueued > 0 && c.Rec.Stages() {
 			c.stage(job.enqueued, p.Now(), "txq", job, job.Bytes, "leg="+job.Kind.String())
 		}
 		if job.Kind == JobGetRequest || job.Kind == JobGetError {
@@ -345,7 +350,9 @@ func (c *Card) runTX(p *sim.Proc) {
 // txControl pushes a control message (its payload is a descriptor the
 // card already holds, nothing is fetched from memory) into the injector.
 func (c *Card) txControl(p *sim.Proc, job *TXJob) {
-	for _, pkt := range c.packetize(job) {
+	pkts := c.packetize(job)
+	for i := range pkts {
+		pkt := &pkts[i]
 		c.txFIFO.Put(p, int64(c.wireSize(pkt)))
 		c.emitPacketTX(p, pkt)
 	}

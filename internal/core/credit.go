@@ -33,7 +33,7 @@ import (
 //
 //	sender shard                      destination shard
 //	------------                      -----------------
-//	Post request (infra, stamp t) --> ledger.request(t, key)
+//	Post request (infra, stamp t) --> creditRequest(t, seq)
 //	                                    free credit: grant at max(t, freed)
 //	                                    none free:   queue by key, grant on release
 //	park injector            <-- Post grant (stamp = grant time)
@@ -43,134 +43,152 @@ import (
 // so grants are bit-exact: a credit freed at time f serves a request
 // stamped t at max(t, f), exactly when the serial ledger would have
 // granted it.
+//
+// A waiter records the requesting card, not a closure: runInjector is
+// the only caller of creditAcquire, so a grant always resumes the card's
+// injector, through a wake callback bound once per card. Taking,
+// queueing, granting and releasing a credit allocate nothing; only the
+// sharded request post carries a closure.
 type creditLedger struct {
 	// freeAt holds one entry per free credit: the time it became free
-	// (zero for the initial pool). Order is immaterial; request takes the
+	// (zero for the initial pool). Order is immaterial; take picks the
 	// earliest.
 	freeAt []sim.Time
 	// waiters are requests that found no free credit, kept sorted by
-	// (t, rank, seq); release grants the head.
+	// (t, card rank, seq); release grants the head.
 	waiters []creditWaiter
 }
 
-// creditKey identifies one credit request: the requesting card's rank and
-// that card's running request counter. Combined with the request stamp it
-// totally orders contending requests by model state alone.
-type creditKey struct {
-	rank int
-	seq  uint64
-}
-
+// creditWaiter is one queued request: its stamp, the requesting card,
+// and that card's running request counter. Stamp, rank and seq totally
+// order contending requests by model state alone.
 type creditWaiter struct {
-	t     sim.Time
-	key   creditKey
-	grant func(at sim.Time, blocked bool)
+	t    sim.Time
+	card *Card
+	seq  uint64
 }
 
 func waiterBefore(a, b creditWaiter) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.key.rank != b.key.rank {
-		return a.key.rank < b.key.rank
+	if a.card.Rank != b.card.Rank {
+		return a.card.Rank < b.card.Rank
 	}
-	return a.key.seq < b.key.seq
+	return a.seq < b.seq
 }
 
 func newCreditLedger(credits int) *creditLedger {
 	return &creditLedger{freeAt: make([]sim.Time, credits)}
 }
 
-// request asks for one credit at time t. grant is invoked — immediately,
-// or later from release — on the ledger's own shard with the grant time
-// and whether the requester had to wait past t.
-func (l *creditLedger) request(t sim.Time, key creditKey, grant func(at sim.Time, blocked bool)) {
-	if n := len(l.freeAt); n > 0 {
-		best := 0
-		for i := 1; i < n; i++ {
-			if l.freeAt[i] < l.freeAt[best] {
-				best = i
-			}
-		}
-		at := l.freeAt[best]
-		l.freeAt[best] = l.freeAt[n-1]
-		l.freeAt = l.freeAt[:n-1]
-		if at < t {
-			at = t
-		}
-		grant(at, at > t)
-		return
+// take hands the earliest-freed credit to a request stamped t, granted
+// at max(t, freed); ok is false when the pool is empty.
+func (l *creditLedger) take(t sim.Time) (at sim.Time, ok bool) {
+	n := len(l.freeAt)
+	if n == 0 {
+		return 0, false
 	}
-	w := creditWaiter{t: t, key: key, grant: grant}
+	best := 0
+	for i := 1; i < n; i++ {
+		if l.freeAt[i] < l.freeAt[best] {
+			best = i
+		}
+	}
+	at = l.freeAt[best]
+	l.freeAt[best] = l.freeAt[n-1]
+	l.freeAt = l.freeAt[:n-1]
+	if at < t {
+		at = t
+	}
+	return at, true
+}
+
+// wait queues a request that found the pool empty, in key order.
+func (l *creditLedger) wait(w creditWaiter) {
 	i := sort.Search(len(l.waiters), func(i int) bool { return waiterBefore(w, l.waiters[i]) })
 	l.waiters = append(l.waiters, creditWaiter{})
 	copy(l.waiters[i+1:], l.waiters[i:])
 	l.waiters[i] = w
 }
 
-// release returns one credit at time at, handing it to the first waiter
-// in key order (granted at max(at, its request time)) or back to the pool.
-func (l *creditLedger) release(at sim.Time) {
-	if len(l.waiters) > 0 {
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		if w.t > at {
-			at = w.t
-		}
-		w.grant(at, at > w.t)
-		return
+// release returns one credit at time at. With a request waiting, the
+// credit goes to the first in key order, granted at max(at, its stamp),
+// and ok is true; otherwise it goes back to the pool. The head is popped
+// by shifting the queue down, so the backing array is kept and a later
+// wait does not reallocate it.
+func (l *creditLedger) release(at sim.Time) (w creditWaiter, grant sim.Time, ok bool) {
+	if len(l.waiters) == 0 {
+		l.freeAt = append(l.freeAt, at)
+		return creditWaiter{}, 0, false
 	}
-	l.freeAt = append(l.freeAt, at)
+	w = l.waiters[0]
+	n := copy(l.waiters, l.waiters[1:])
+	l.waiters[n] = creditWaiter{}
+	l.waiters = l.waiters[:n]
+	if w.t > at {
+		at = w.t
+	}
+	return w, at, true
 }
 
 // creditAcquire takes one RX credit of dest for a packet this card is
-// about to inject, blocking p until granted. Serial worlds run the ledger
-// inline; sharded worlds run the message protocol above.
+// about to inject, blocking p — the card's injector — until granted.
+// Serial worlds run the ledger inline; sharded worlds run the message
+// protocol above.
 func (c *Card) creditAcquire(p *sim.Proc, dest *Card) {
 	t := p.Now()
-	key := creditKey{rank: c.Rank, seq: c.creditSeq}
+	seq := c.creditSeq
 	c.creditSeq++
-	if !c.Net.sharded {
-		eng := c.Eng
-		proc := p
-		inline, granted := true, sim.Time(-1)
-		dest.ledger.request(t, key, func(at sim.Time, blocked bool) {
-			if inline {
-				// Serial releases are stamped now and requests carry now,
-				// so an inline grant can never lie in the future: the
-				// injector continues at t with zero events spent.
-				granted = at
-				return
-			}
-			// Deferred grant from a later release. A blocked grant costs
-			// one counted wake (the semaphore parity); an equal-time one
-			// is bookkeeping only.
-			if blocked {
-				eng.At(at, func() { eng.Wake(proc) })
-			} else {
-				eng.AtInfra(at, func() { eng.Wake(proc) })
-			}
-		})
-		inline = false
-		if granted < 0 {
-			p.Park("rx credits")
-		} else if granted > t {
-			p.SleepUntil(granted)
+	if c.Net.sharded {
+		c.Eng.Post(dest.Eng.Shard(), t, true, func() { dest.creditRequest(c, t, seq) })
+		p.Park("rx credits")
+		return
+	}
+	if at, ok := dest.ledger.take(t); ok {
+		// Serial releases are stamped now and requests carry now, so an
+		// inline grant can never lie in the future: the injector
+		// continues at t with zero events spent.
+		if at > t {
+			p.SleepUntil(at)
 		}
 		return
 	}
-	src := c.Eng
-	proc := p
-	src.Post(dest.Eng.Shard(), t, true, func() {
-		dest.ledger.request(t, key, func(at sim.Time, blocked bool) {
-			dest.Eng.Post(src.Shard(), at, !blocked, func() { src.Wake(proc) })
-		})
-	})
+	dest.ledger.wait(creditWaiter{t: t, card: c, seq: seq})
 	p.Park("rx credits")
 }
 
-// creditRelease returns one RX credit of this card at time at. It must
-// run on the card's own shard (the RX engine and loss handling do).
+// creditRequest serves card from's sharded request, stamped t, on this
+// card's shard: granted at once from the pool, or queued until a release.
+func (c *Card) creditRequest(from *Card, t sim.Time, seq uint64) {
+	if at, ok := c.ledger.take(t); ok {
+		c.grantCredit(from, t, at)
+		return
+	}
+	c.ledger.wait(creditWaiter{t: t, card: from, seq: seq})
+}
+
+// grantCredit resumes the injector of card to, whose request stamped t
+// got one of this card's credits at time at. A blocked grant (at > t)
+// costs one counted wake, the semaphore parity; an equal-time one is
+// bookkeeping only. It runs on this card's shard.
+func (c *Card) grantCredit(to *Card, t, at sim.Time) {
+	blocked := at > t
+	switch {
+	case c.Net.sharded:
+		c.Eng.Post(to.Eng.Shard(), at, !blocked, to.wakeInjector)
+	case blocked:
+		to.Eng.At(at, to.wakeInjector)
+	default:
+		to.Eng.AtInfra(at, to.wakeInjector)
+	}
+}
+
+// creditRelease returns one RX credit of this card at time at, granting
+// it to the first waiting request if any. It must run on the card's own
+// shard (the RX engine and loss handling do).
 func (c *Card) creditRelease(at sim.Time) {
-	c.ledger.release(at)
+	if w, grant, ok := c.ledger.release(at); ok {
+		c.grantCredit(w.card, w.t, grant)
+	}
 }

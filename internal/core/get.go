@@ -112,7 +112,9 @@ func (c *Card) SubmitGet(p *sim.Proc, job *GetJob) error {
 		c.Rec.Emit(p.Now(), c.Name+".get", "get_request", int64(job.Bytes),
 			fmt.Sprintf("req %d: rank %d addr %#x -> local %#x", job.ID, job.RemoteRank, job.RemoteAddr, job.LocalAddr))
 	}
-	c.stage(job.Submitted, p.Now(), "submit", req, job.Bytes, stageNote(req, c.Rank))
+	if c.Rec.Stages() {
+		c.stage(job.Submitted, p.Now(), "submit", req, job.Bytes, stageNote(req, c.Rank))
+	}
 	req.enqueued = p.Now()
 	c.txq.Put(p, req)
 	return nil
@@ -155,7 +157,9 @@ func (c *Card) rxGetRequest(p *sim.Proc, pkt *Packet) {
 		c.Rec.Emit(p.Now(), c.Name+".get", "get_reply", int64(bytes),
 			fmt.Sprintf("req %d: %s read %#x -> rank %d", m.reqID, entry.Kind, m.remoteAddr, m.requester))
 	}
-	c.stage(tServe, p.Now(), "serve", reply, bytes, fmt.Sprintf("responder=%d", c.Rank))
+	if c.Rec.Stages() {
+		c.stage(tServe, p.Now(), "serve", reply, bytes, fmt.Sprintf("responder=%d", c.Rank))
+	}
 	c.submitGetReply(p, reply)
 }
 
@@ -276,7 +280,9 @@ func (c *Card) completeGetReply(p *sim.Proc, job *TXJob, arrival sim.Time) {
 	if now := c.Eng.Now(); arrival < now {
 		arrival = now
 	}
-	c.stage(tFin, arrival, "deliver", job, job.Bytes, fmt.Sprintf("src=%d", job.srcRank))
+	if c.Rec.Stages() {
+		c.stage(tFin, arrival, "deliver", job, job.Bytes, fmt.Sprintf("src=%d", job.srcRank))
+	}
 	reqID, bytes := job.get.reqID, job.Bytes
 	c.Eng.At(arrival, func() { c.finishGet(reqID, bytes, "") })
 }

@@ -60,10 +60,12 @@ func (c *Card) runInjector(p *sim.Proc) {
 		p.SleepUntil(end)
 		c.txFIFO.Get(p, int64(wire))
 		c.completePacketTX(pkt)
-		c.stage(injT, hopStart, "inject", pkt.Job, wire, fmt.Sprintf("seq=%d", pkt.Seq))
+		if c.Rec.Stages() {
+			c.stage(injT, hopStart, "inject", pkt.Job, wire, fmt.Sprintf("seq=%d", pkt.Seq))
+		}
 		c.Net.traceHop(c.Rec, pkt, c.Rank, dec, hopStart, end)
 		c.Net.forwardOrdered(c, pkt, dest, c.Net.Dims.Neighbor(c.Coord, dec.Dir),
-			end.Add(c.Net.hopLat), c.hopKey(), wire)
+			end.Add(c.Net.hopLat), c.hopKey())
 	}
 }
 

@@ -31,7 +31,9 @@ type Network struct {
 	linkBW units.Bandwidth
 	hopLat sim.Duration
 
-	cards map[int]*Card
+	// cards is indexed by rank, nil where no card is registered: a hop
+	// looks up the cards it touches with array loads.
+	cards []*Card
 	// links is indexed by rank*NumDirs+dir: the per-hop path is an array
 	// load instead of a map lookup, which matters when a 32^3 torus books
 	// millions of hop reservations. Each channel also meters its link.
@@ -104,7 +106,7 @@ func NewNetwork(eng *sim.Engine, dims torus.Dims, linkBW units.Bandwidth, hopLat
 		Dims:     dims,
 		linkBW:   linkBW,
 		hopLat:   hopLat,
-		cards:    make(map[int]*Card),
+		cards:    make([]*Card, dims.Nodes()),
 		links:    make([]*pcie.Channel, dims.Nodes()*int(torus.NumDirs)),
 		router:   route.Config{}.New(),
 		linkDown: make(map[linkKey]bool),
@@ -124,7 +126,7 @@ func (n *Network) register(c *Card) {
 		panic(fmt.Sprintf("core: card coord %v outside torus %v", c.Coord, n.Dims))
 	}
 	rank := n.Dims.Rank(c.Coord)
-	if _, dup := n.cards[rank]; dup {
+	if n.cards[rank] != nil {
 		panic(fmt.Sprintf("core: duplicate card at %v", c.Coord))
 	}
 	if !n.routerSet {
@@ -146,10 +148,23 @@ func (n *Network) register(c *Card) {
 }
 
 // Card returns the card at a rank, or nil.
-func (n *Network) Card(rank int) *Card { return n.cards[rank] }
+func (n *Network) Card(rank int) *Card {
+	if rank < 0 || rank >= len(n.cards) {
+		return nil
+	}
+	return n.cards[rank]
+}
 
 // Cards returns the number of registered cards.
-func (n *Network) Cards() int { return len(n.cards) }
+func (n *Network) Cards() int {
+	count := 0
+	for _, c := range n.cards {
+		if c != nil {
+			count++
+		}
+	}
+	return count
+}
 
 // HopLatency returns the per-hop forwarding latency.
 func (n *Network) HopLatency() sim.Duration { return n.hopLat }
@@ -214,63 +229,76 @@ func (c *Card) hopKey() uint64 {
 
 // forwardOrdered books a packet's hops beyond the injector's first — the
 // one way they are booked, on every engine layout and under every
-// router. cur is the node after hop 1, reached at time at. Each hop is a
-// keyed infra event at the packet's wire-arrival time on the engine that
-// owns the hop's source node (see orderedHop), so the router decides on
-// the link state of that instant, reading only links the executing
-// engine owns, and same-time bookings on a shared link execute in key
-// order. Arrival order is a pure function of the model (stamps and the
-// (rank, seq) key, never of which engine executes what), which is what
-// makes a group's results invariant in the shard count. Serially the
-// events chain through the one heap; sharded they chain through keyed
-// posts to each hop's owning shard, stamped a full hop latency ahead of
-// the posting clock (coll.NewWorld refuses groups without one), so they
-// are never ingested retroactively.
-func (n *Network) forwardOrdered(src *Card, pkt *Packet, dest *Card, cur torus.Coord, at sim.Time, key uint64, wire units.ByteSize) {
-	if cur == dest.Coord {
-		n.deliverOrdered(src.Eng, dest, at, key, pkt)
+// router. cur is the node after hop 1, reached at time at, and key the
+// packet's hop tie key. Each hop is a keyed infra event at the packet's
+// wire-arrival time on the engine that owns the hop's source node (see
+// orderedHop), so the router decides on the link state of that instant,
+// reading only links the executing engine owns, and same-time bookings
+// on a shared link execute in key order. Arrival order is a pure
+// function of the model (stamps and the (rank, seq) key, never of which
+// engine executes what), which is what makes a group's results
+// invariant in the shard count. Serially the events chain through the
+// one heap; sharded they chain through keyed posts to each hop's owning
+// shard, stamped a full hop latency ahead of the posting clock
+// (coll.NewWorld refuses groups without one), so they are never
+// ingested retroactively.
+//
+// The packet carries its in-flight state — the node it is at and its
+// key — and its event callbacks: the hop callback, bound here on its
+// first forwarded hop and reused for every later one, and the delivery
+// callback, bound in deliverOrdered. A hop allocates nothing. Only one
+// of a packet's hop or delivery events is pending at a time, and the
+// engine executing it owns the packet until it schedules the next.
+func (n *Network) forwardOrdered(src *Card, pkt *Packet, dest *Card, cur torus.Coord, at sim.Time, key uint64) {
+	pkt.node, pkt.key = n.Dims.Rank(cur), key
+	if pkt.node == dest.Rank {
+		n.deliverOrdered(src.Eng, dest, at, pkt)
 		return
 	}
-	n.scheduleHop(src.Eng, n.cards[n.Dims.Rank(cur)].Eng, at, key, n.orderedHop(src, pkt, dest, cur, key, wire))
-}
-
-// orderedHop returns the booking event for one hop out of cur: executed
-// on cur's owning engine at the packet's arrival time, it asks the
-// router, folds a deviation onto the source card, books the wire, then
-// chains the next hop or schedules the delivery. A dead end — a
-// fault-blind router meeting a link that died after the submit-time
-// reachability check — loses the packet (see Card.accountLostPacket).
-func (n *Network) orderedHop(src *Card, pkt *Packet, dest *Card, cur torus.Coord, key uint64, wire units.ByteSize) func() {
-	return func() {
-		rank := n.Dims.Rank(cur)
-		here := n.cards[rank]
-		t := here.Eng.Now()
-		dec, ok := n.nextHop(cur, dest.Coord, t, wire)
-		if !ok {
-			src.accountLostPacket(here, t, pkt, dest, "lost mid-route toward rank %d")
-			return
-		}
-		src.accountHop(pkt.Job, dec)
-		start, end := n.reserveHop(rank, dec.Dir, t, wire)
-		n.traceHop(here.Rec, pkt, rank, dec, start, end)
-		next := n.Dims.Neighbor(cur, dec.Dir)
-		arrival := end.Add(n.hopLat)
-		if next == dest.Coord {
-			n.deliverOrdered(here.Eng, dest, arrival, key, pkt)
-			return
-		}
-		n.scheduleHop(here.Eng, n.cards[n.Dims.Rank(next)].Eng, arrival, key, n.orderedHop(src, pkt, dest, next, key, wire))
+	if pkt.hop == nil {
+		pkt.hop = func() { n.orderedHop(pkt) }
 	}
+	n.scheduleHop(src.Eng, n.cards[pkt.node].Eng, at, pkt)
 }
 
-// scheduleHop schedules a keyed hop booking on its owning engine: a
-// keyed infra event when the owner is the executing engine (always, when
-// serial), a keyed post otherwise.
-func (n *Network) scheduleHop(eng, owner *sim.Engine, t sim.Time, key uint64, fn func()) {
+// orderedHop is a packet's hop booking event, executed on the engine
+// owning the packet's current node at its arrival time: it asks the
+// router, folds a deviation onto the source card, books the wire, then
+// moves the packet on and schedules its next hop or its delivery. The
+// source card, destination and wire size follow from the packet's job.
+// A dead end — a fault-blind router meeting a link that died after the
+// submit-time reachability check — loses the packet (see
+// Card.accountLostPacket).
+func (n *Network) orderedHop(pkt *Packet) {
+	src, dest, here := n.cards[pkt.Job.srcRank], n.cards[pkt.Job.DstRank], n.cards[pkt.node]
+	t := here.Eng.Now()
+	wire := src.wireSize(pkt)
+	dec, ok := n.nextHop(here.Coord, dest.Coord, t, wire)
+	if !ok {
+		src.accountLostPacket(here, t, pkt, dest, "lost mid-route toward rank %d")
+		return
+	}
+	src.accountHop(pkt.Job, dec)
+	start, end := n.reserveHop(here.Rank, dec.Dir, t, wire)
+	n.traceHop(here.Rec, pkt, here.Rank, dec, start, end)
+	next := n.cards[n.Dims.Rank(n.Dims.Neighbor(here.Coord, dec.Dir))]
+	arrival := end.Add(n.hopLat)
+	pkt.node = next.Rank
+	if next == dest {
+		n.deliverOrdered(here.Eng, dest, arrival, pkt)
+		return
+	}
+	n.scheduleHop(here.Eng, next.Eng, arrival, pkt)
+}
+
+// scheduleHop schedules a packet's keyed hop booking on its owning
+// engine: a keyed infra event when the owner is the executing engine
+// (always, when serial), a keyed post otherwise.
+func (n *Network) scheduleHop(eng, owner *sim.Engine, t sim.Time, pkt *Packet) {
 	if owner == eng {
-		eng.AtInfraKeyed(t, key, fn)
+		eng.AtInfraKeyed(t, pkt.key, pkt.hop)
 	} else {
-		eng.PostKeyed(owner.Shard(), t, key, fn)
+		eng.PostKeyed(owner.Shard(), t, pkt.key, pkt.hop)
 	}
 }
 
@@ -281,13 +309,15 @@ func (n *Network) scheduleHop(eng, owner *sim.Engine, t sim.Time, key uint64, fn
 // round structure alone, never of whether source and destination happen
 // to share a shard at this shard count; packets arriving at one card at
 // the same time queue in hop-key order, whichever shards sent them.
-func (n *Network) deliverOrdered(eng *sim.Engine, dest *Card, arrival sim.Time, key uint64, pkt *Packet) {
-	deliver := func() { dest.rxQ.TryPut(pkt) }
+func (n *Network) deliverOrdered(eng *sim.Engine, dest *Card, arrival sim.Time, pkt *Packet) {
+	if pkt.deliver == nil {
+		pkt.deliver = func() { dest.rxQ.TryPut(pkt) }
+	}
 	if !n.sharded {
-		eng.At(arrival, deliver)
+		eng.At(arrival, pkt.deliver)
 		return
 	}
-	eng.PostTied(dest.Eng.Shard(), arrival, key, deliver)
+	eng.PostTied(dest.Eng.Shard(), arrival, pkt.key, pkt.deliver)
 }
 
 // onCard runs fn against card c's state at time t from an event executing

@@ -36,12 +36,10 @@ func getOpKey(reqID uint64, requester int) uint64 {
 	return 1<<63 | reqID<<16 | uint64(requester&0xffff)
 }
 
-// stage emits one op-stage span on the card's recorder when it is in
-// stage-capture mode.
+// stage emits one op-stage span on the card's recorder. Callers check
+// c.Rec.Stages() first, so a note is formatted only under stage capture
+// and a run without it pays nothing for its notes.
 func (c *Card) stage(t0, t1 sim.Time, kind string, job *TXJob, bytes units.ByteSize, note string) {
-	if !c.Rec.Stages() {
-		return
-	}
 	c.Rec.EmitOp(t0, t1, c.Name+".op", kind, opKey(job), int64(bytes), note)
 }
 

@@ -94,6 +94,14 @@ type Packet struct {
 	Seq   int
 	Bytes units.ByteSize
 	Last  bool
+
+	// In-flight routing state (see Network.forwardOrdered): the rank of
+	// the node the packet is at, its hop tie key, and the callbacks of
+	// its hop and delivery events, each bound once. The source card,
+	// destination and wire size follow from Job.
+	node         int
+	key          uint64
+	hop, deliver func()
 }
 
 // CompKind is the completion type.

@@ -47,19 +47,26 @@ func (c *Card) runRX(p *sim.Proc) {
 			continue
 		}
 
+		stages := c.Rec.Stages()
 		tVal := p.Now()
 		entry, scanned, ok := c.rxValidate(pkt)
-		c.stage(tVal, p.Now(), "rx_validate", pkt.Job, pkt.Bytes, fmt.Sprintf("seq=%d scanned=%d", pkt.Seq, scanned))
+		if stages {
+			c.stage(tVal, p.Now(), "rx_validate", pkt.Job, pkt.Bytes, fmt.Sprintf("seq=%d scanned=%d", pkt.Seq, scanned))
+		}
 		tXlat := p.Now()
 		c.rxTranslate(p, pkt, scanned, ok)
-		c.stage(tXlat, p.Now(), "rx_translate", pkt.Job, pkt.Bytes, fmt.Sprintf("seq=%d", pkt.Seq))
+		if stages {
+			c.stage(tXlat, p.Now(), "rx_translate", pkt.Job, pkt.Bytes, fmt.Sprintf("seq=%d", pkt.Seq))
+		}
 		if !ok {
 			c.rxDrop(p, pkt)
 			continue
 		}
 		tDMA := p.Now()
 		arrival := c.rxProgramDMA(p, pkt, entry)
-		c.stage(tDMA, arrival, "rx_dma", pkt.Job, pkt.Bytes, fmt.Sprintf("seq=%d", pkt.Seq))
+		if stages {
+			c.stage(tDMA, arrival, "rx_dma", pkt.Job, pkt.Bytes, fmt.Sprintf("seq=%d", pkt.Seq))
+		}
 		c.rxDeliver(p, pkt, arrival)
 	}
 }
@@ -206,7 +213,9 @@ func (c *Card) rxFinishJob(p *sim.Proc, job *TXJob, arrival sim.Time) {
 	if now := c.Eng.Now(); arrival < now {
 		arrival = now
 	}
-	c.stage(tFin, arrival, "deliver", job, job.Bytes, fmt.Sprintf("src=%d", job.srcRank))
+	if c.Rec.Stages() {
+		c.stage(tFin, arrival, "deliver", job, job.Bytes, fmt.Sprintf("src=%d", job.srcRank))
+	}
 	comp := Completion{
 		Kind:    RecvDone,
 		JobID:   job.ID,

@@ -82,7 +82,9 @@ func (c *Card) fetchAt(p *sim.Proc, job *TXJob, cursor *sim.Time, n units.ByteSi
 func (c *Card) txGPUv1(p *sim.Proc, job *TXJob) {
 	reqPath := c.Fab.Path(c.PCI, job.SrcGPU.PCI)
 	respPath := c.Fab.Path(job.SrcGPU.PCI, c.PCI)
-	for _, pkt := range c.packetize(job) {
+	pkts := c.packetize(job)
+	for i := range pkts {
+		pkt := &pkts[i]
 		// Software request generation and flow control on the Nios II;
 		// it also starves the RX task while it runs.
 		c.Nios.Exec(p, "GPU_P2P_TX", c.Cfg.TXV1PerRequest)
@@ -110,7 +112,7 @@ func (c *Card) txGPUv2(p *sim.Proc, job *TXJob) {
 		var batchBytes units.ByteSize
 		var batchLast sim.Time
 		for next < len(pkts) && batchBytes < c.Cfg.PrefetchWindow {
-			pkt := pkts[next]
+			pkt := &pkts[next]
 			next++
 			batchBytes += pkt.Bytes
 			// Source V2P for the packet runs concurrently on the Nios II.
@@ -135,8 +137,9 @@ func (c *Card) txGPUv3(p *sim.Proc, job *TXJob) {
 	cursor := p.Now()
 	outstanding := 0
 	drained := sim.NewSignal(c.Eng)
-	for _, pkt := range c.packetize(job) {
-		pkt := pkt
+	pkts := c.packetize(job)
+	for i := range pkts {
+		pkt := &pkts[i]
 		c.niosTXQ.Put(p, c.Cfg.TXPerPacketV2P)
 		// Credit-based flow control: data in flight is bounded by the
 		// window; FIFO space is reserved up front so the engine
@@ -167,8 +170,9 @@ func (c *Card) txGPUBar1(p *sim.Proc, job *TXJob) {
 	rd := job.SrcGPU.BAR1Reader(c.Fab, c.PCI)
 	outstanding := 0
 	drained := sim.NewSignal(c.Eng)
-	for _, pkt := range c.packetize(job) {
-		pkt := pkt
+	pkts := c.packetize(job)
+	for i := range pkts {
+		pkt := &pkts[i]
 		c.txFIFO.Put(p, int64(c.wireSize(pkt)))
 		job.SrcGPU.CountBAR1Read(pkt.Bytes)
 		outstanding++

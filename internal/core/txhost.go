@@ -15,8 +15,9 @@ import (
 func (c *Card) txHost(p *sim.Proc, job *TXJob) {
 	outstanding := 0
 	drained := sim.NewSignal(c.Eng)
-	for _, pkt := range c.packetize(job) {
-		pkt := pkt
+	pkts := c.packetize(job)
+	for i := range pkts {
+		pkt := &pkts[i]
 		// Per-descriptor driver work (host CPU, not Nios).
 		p.Sleep(c.Cfg.TXDriverPerPacket)
 		// Reserve FIFO space, stalling on backpressure, then fetch the

@@ -491,12 +491,15 @@ type Reader struct {
 	cplPath   *Path
 	tags      *sim.Semaphore
 	chunk     units.ByteSize
+	// releaseTag is the completion event of every chunk but a read's
+	// last: bound once here, so a chunk schedules it without allocating.
+	releaseTag func()
 }
 
 // NewReader builds a read engine: `outstanding` in-flight requests of
 // `chunk` bytes each.
 func (f *Fabric) NewReader(initiator, target *Device, outstanding int, chunk units.ByteSize) *Reader {
-	return &Reader{
+	r := &Reader{
 		fab:       f,
 		initiator: initiator,
 		target:    target,
@@ -505,6 +508,8 @@ func (f *Fabric) NewReader(initiator, target *Device, outstanding int, chunk uni
 		tags:      sim.NewSemaphore(f.Eng, int64(outstanding)),
 		chunk:     chunk,
 	}
+	r.releaseTag = func() { r.tags.Release(1) }
+	return r
 }
 
 // ReadAsync fetches n bytes, blocking p only while the engine is out of
@@ -537,13 +542,14 @@ func (r *Reader) ReadAsync(p *sim.Proc, n units.ByteSize, onDone func(last sim.T
 		if cplArr > lastArrival {
 			lastArrival = cplArr
 		}
-		last := remaining == 0
+		if remaining > 0 {
+			eng.At(cplArr, r.releaseTag)
+			continue
+		}
 		final := lastArrival
 		eng.At(cplArr, func() {
 			r.tags.Release(1)
-			if last {
-				onDone(final)
-			}
+			onDone(final)
 		})
 	}
 }

@@ -39,7 +39,10 @@ func (r *AdaptiveMinimal) Name() string { return "adaptive" }
 
 // NextHop implements Router.
 func (r *AdaptiveMinimal) NextHop(v View, cur, dst torus.Coord, at sim.Time, wire units.ByteSize) (Decision, bool) {
-	cands := v.Torus().MinimalDirs(cur, dst)
+	// Candidates and ties live in arrays on the stack: a decision
+	// allocates nothing.
+	var candBuf, tiedBuf [torus.NumDirs]torus.Dir
+	cands := v.Torus().MinimalDirs(candBuf[:0], cur, dst)
 	if len(cands) == 0 {
 		return Decision{}, false
 	}
@@ -50,7 +53,7 @@ func (r *AdaptiveMinimal) NextHop(v View, cur, dst torus.Coord, at sim.Time, wir
 	}
 	escapeDelay := v.QueueDelay(cur, escape, at, wire)
 	best := escapeDelay
-	var tied []torus.Dir
+	tied := tiedBuf[:0]
 	for _, c := range cands[1:] {
 		d := v.QueueDelay(cur, c, at, wire)
 		switch {

@@ -186,15 +186,18 @@ func (d Dims) FirstHop(a, b Coord) (Dir, bool) {
 	return 0, false
 }
 
-// MinimalDirs returns every direction that moves a exactly one hop closer
-// to b — the candidate set an adaptive minimal router chooses from. In
-// each unfinished dimension the shorter wrap-around direction qualifies;
-// when an even-sized dimension is exactly half-way around both directions
-// are minimal and both are returned. Candidates appear in dimension order
-// with the positive direction first, so candidates[0] is always the
-// dimension-ordered route's own choice (FirstHop). Returns nil when a == b.
-func (d Dims) MinimalDirs(a, b Coord) []Dir {
-	var out []Dir
+// MinimalDirs appends to out every direction that moves a exactly one
+// hop closer to b — the candidate set an adaptive minimal router chooses
+// from — and returns the extended slice. In each unfinished dimension the
+// shorter wrap-around direction qualifies; when an even-sized dimension
+// is exactly half-way around both directions are minimal and both are
+// appended. Candidates appear in dimension order with the positive
+// direction first, so the first one appended is always the
+// dimension-ordered route's own choice (FirstHop). Nothing is appended
+// when a == b. There are at most NumDirs candidates, so a caller that
+// passes a zero-length slice of a [NumDirs]Dir array gets them without
+// a heap allocation.
+func (d Dims) MinimalDirs(out []Dir, a, b Coord) []Dir {
 	add := func(av, bv, n int, plus, minus Dir) {
 		delta := ((bv-av)%n + n) % n
 		if delta == 0 {

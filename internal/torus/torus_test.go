@@ -185,7 +185,7 @@ func TestRouteEvenDimensionTieBreaksPositive(t *testing.T) {
 		}
 	}
 	// The ties also surface as two-sided candidate sets.
-	dirs := d.MinimalDirs(a, b)
+	dirs := d.MinimalDirs(nil, a, b)
 	want = []Dir{XPlus, XMinus, YPlus, YMinus, ZPlus, ZMinus}
 	if len(dirs) != len(want) {
 		t.Fatalf("MinimalDirs = %v, want %v", dirs, want)
@@ -209,9 +209,19 @@ func TestFirstHopAndMinimalDirsProperties(t *testing.T) {
 			if ok != (len(route) > 0) || (ok && dir != route[0]) {
 				return false
 			}
-			cands := d.MinimalDirs(a, b)
+			cands := d.MinimalDirs(nil, a, b)
 			if (len(cands) == 0) != (a == b) {
 				return false
+			}
+			// Appending keeps what the buffer already holds.
+			prefixed := d.MinimalDirs([]Dir{NumDirs}, a, b)
+			if len(prefixed) != 1+len(cands) || prefixed[0] != NumDirs {
+				return false
+			}
+			for i, c := range cands {
+				if prefixed[1+i] != c {
+					return false
+				}
 			}
 			if len(cands) > 0 && cands[0] != route[0] {
 				return false // dimension-ordered choice must come first
