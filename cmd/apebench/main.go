@@ -144,6 +144,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "apebench: -%v\n", err)
 		os.Exit(2)
 	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"parallel", *parallel}, {"hotlinks", *hotlinks}} {
+		if err := bench.CheckCount(c.name, c.n); err != nil {
+			fmt.Fprintf(os.Stderr, "apebench: -%v\n", err)
+			os.Exit(2)
+		}
+	}
 	if *list {
 		listExperiments(*group)
 		return

@@ -65,6 +65,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "apesweep: -%v\n", err)
 		os.Exit(2)
 	}
+	if err := bench.CheckCount("parallel", *parallel); err != nil {
+		fmt.Fprintf(os.Stderr, "apesweep: -%v\n", err)
+		os.Exit(2)
+	}
 	exps, err := bench.Select(strings.Split(*runSel, ","))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apesweep: %v\n", err)

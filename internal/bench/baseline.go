@@ -109,6 +109,16 @@ func CheckTolerance(pct float64) error {
 	return nil
 }
 
+// CheckCount validates a count flag — -parallel, -hotlinks — whose zero
+// has a meaning of its own (all CPUs, no links): a negative count means
+// nothing, and used to run as if it were zero.
+func CheckCount(name string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%s %d: want a count >= 0", name, n)
+	}
+	return nil
+}
+
 // CompareRuns diffs cur against base. Numeric cells that move by more
 // than tolerancePct (relative to the baseline value) are classified by
 // their column unit; textual cells and table layout must match exactly.

@@ -176,6 +176,27 @@ func TestCheckTolerance(t *testing.T) {
 	}
 }
 
+func TestCheckCount(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{
+		{0, true},
+		{1, true},
+		{64, true},
+		{-1, false},
+		{-3, false},
+	} {
+		err := CheckCount("parallel", tc.n)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckCount(parallel, %d) = %v, want ok=%v", tc.n, err, tc.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "parallel ") {
+			t.Errorf("CheckCount(parallel, %d) = %q: want the flag name first", tc.n, err)
+		}
+	}
+}
+
 func TestCompareRunsNeutralUnit(t *testing.T) {
 	base := sampleRun()
 	cur := sampleRun()

@@ -57,7 +57,7 @@ func (f *forwardBench) send() {
 // keyed hop event, routing decision, link lookup, wire reservation and
 // its metering — which runs once per (packet, hop) and therefore hundreds
 // of millions of times in a 32^3 collective. Each packet is handed to
-// forwardOrdered after its injector hop, exactly as runInjector does, and
+// forwardOrdered after its injector hop, exactly as the injector does, and
 // the engine runs its hops to delivery. Packets cross half an 8-ring in
 // X, the streaming shape that hits the calendar's tail fast path.
 func BenchmarkForwardHop(b *testing.B) {

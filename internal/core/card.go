@@ -43,11 +43,21 @@ type Card struct {
 	rxQ     *sim.Queue[*Packet]
 
 	// getReplyQ decouples the RX engine from TX backpressure: the RX
-	// stage hands validated GET replies to the responder process, which
-	// alone blocks on TX queue space. Without it, two cards GETting from
-	// each other could deadlock (RX blocked on a full TX queue on both
+	// stage hands validated GET replies to the responder engine, which
+	// alone waits for TX queue space. Without it, two cards GETting from
+	// each other could deadlock (RX stalled on a full TX queue on both
 	// sides, each TX waiting for the other's RX to drain credits).
 	getReplyQ *sim.Queue[*TXJob]
+
+	// The card's five engines — TX dispatcher, injector, RX pipeline,
+	// Nios TX worker and GET responder — are event-driven state
+	// machines: each keeps its in-flight job or packet here and resumes
+	// through one continuation bound in Start.
+	tx     txEngine
+	inj    injector
+	rx     rxEngine
+	niosTX niosTXWorker
+	getRsp getResponder
 
 	// getWindow is the outstanding-request table's capacity: SubmitGet
 	// acquires a slot (blocking when the table is full) and completion —
@@ -63,6 +73,12 @@ type Card struct {
 	// from RX processing.
 	niosTXQ *sim.Queue[sim.Duration]
 
+	// txDrained is broadcast when the TX job's last outstanding fetch
+	// lands; txWindow is the v3 engine's flow-control window, full again
+	// whenever a job has drained.
+	txDrained *sim.Signal
+	txWindow  *sim.Semaphore
+
 	hostReader *pcie.Reader
 	switchCh   *pcie.Channel // flush-mode drain
 	loopCh     *pcie.Channel // local injection->extraction port
@@ -72,11 +88,8 @@ type Card struct {
 	// returns it after processing (see credit.go). On a sharded torus it
 	// is owned by this card's shard. creditSeq numbers this card's own
 	// outgoing credit requests, half of the pure tie-break key.
-	// wakeInjector resumes this card's injector, parked on a credit
-	// request: the one grant callback, bound once in Start.
-	ledger       *creditLedger
-	creditSeq    uint64
-	wakeInjector func()
+	ledger    *creditLedger
+	creditSeq uint64
 
 	// orderSeq numbers this card's injected packets; packed with the rank
 	// it forms the pure tie key ordering same-time hop bookings (see
@@ -202,24 +215,35 @@ func NewCard(eng *sim.Engine, cfg Config, rec *trace.Recorder, name string,
 			c.Cfg.GetRequestBytes = c.Cfg.MaxPayload
 		}
 	}
+	c.txDrained = sim.NewSignal(eng)
+	if cfg.TXVersion == 3 {
+		c.txWindow = sim.NewSemaphore(eng, int64(cfg.PrefetchWindow))
+	}
 	c.hostReader = fab.NewReader(pci, hostMem, cfg.HostReadOutstanding, cfg.HostReadChunk)
 	c.Nios.SetRecorder(rec)
 	net.register(c)
 	return c, nil
 }
 
-// Start spawns the card's engine processes. Call once after construction.
+// Start binds the card's five engines and schedules their start events,
+// all at the current time, in the order tx, inject, rx, niosTX, getrsp.
+// Call once after construction.
 func (c *Card) Start() {
 	if c.started {
 		panic("core: card started twice")
 	}
 	c.started = true
-	c.Eng.Go(c.Name+".tx", c.runTX)
-	injector := c.Eng.Go(c.Name+".inject", c.runInjector)
-	c.wakeInjector = func() { c.Eng.Wake(injector) }
-	c.Eng.Go(c.Name+".rx", c.runRX)
-	c.Eng.Go(c.Name+".niosTX", c.runNiosTXWorker)
-	c.Eng.Go(c.Name+".getrsp", c.runGetResponder)
+	c.tx.run, c.tx.nios = c.stepTX, c.Nios.NewSlot()
+	c.inj.run = c.stepInjector
+	c.rx.run, c.rx.nios = c.stepRX, c.Nios.NewSlot()
+	c.niosTX.run, c.niosTX.nios = c.stepNiosTX, c.Nios.NewSlot()
+	c.getRsp.run = c.stepGetResponder
+	now := c.Eng.Now()
+	c.Eng.At(now, c.tx.run)
+	c.Eng.At(now, c.inj.run)
+	c.Eng.At(now, c.rx.run)
+	c.Eng.At(now, c.niosTX.run)
+	c.Eng.At(now, c.getRsp.run)
 }
 
 // Stats returns a snapshot of activity counters.
@@ -323,55 +347,180 @@ func (c *Card) packetize(job *TXJob) []Packet {
 	return pkts
 }
 
-// runTX dispatches jobs to the host or GPU transmission engines. A single
-// dispatcher models the card's single TX context: jobs serialize, packets
-// within a job pipeline. Control messages (GET requests and error
-// replies) carry card-built descriptors, not memory, so they skip the
-// read engines; GET data replies are ordinary host/GPU reads.
-func (c *Card) runTX(p *sim.Proc) {
-	for {
-		job := c.txq.Get(p)
-		if job.enqueued > 0 && c.Rec.Stages() {
-			c.stage(job.enqueued, p.Now(), "txq", job, job.Bytes, "leg="+job.Kind.String())
-		}
-		if job.Kind == JobGetRequest || job.Kind == JobGetError {
-			c.txControl(p, job)
-			continue
-		}
-		switch job.SrcKind {
-		case HostMem:
-			c.txHost(p, job)
-		case GPUMem:
-			c.txGPU(p, job)
-		}
+// txEngine is the TX dispatcher: a single dispatcher models the card's
+// single TX context, so jobs serialize while packets within a job
+// pipeline. It holds the job in flight, its packets and how far the
+// fetch engine serving it has got.
+type txEngine struct {
+	state txState
+	job   *TXJob
+	pkts  []Packet
+	// next indexes the packet being fetched; outstanding counts issued
+	// fetches whose data has not landed (host, v3, BAR1).
+	next        int
+	outstanding int
+	// cursor is the GPU request generator's clock (v2, v3); batchBytes
+	// and batchLast are the v2 refill batch's volume and landing time.
+	cursor     sim.Time
+	batchBytes units.ByteSize
+	batchLast  sim.Time
+	bar1       *pcie.Reader // the BAR1 job's read engine
+	nios       *nios.Slot
+	run        func() // stepTX, bound once in Start
+}
+
+// txState names the TX dispatcher's next step.
+type txState uint8
+
+const (
+	txGetJob     txState = iota // take and dispatch the next job
+	txControl                   // control message: FIFO space, inject
+	txHostDriver                // host: per-descriptor driver work
+	txHostFIFO                  // host: FIFO space, issue the read
+	txDrain                     // host, BAR1: wait for the job's data
+	txGPUVersion                // GPU: setup done, start the fetch loop
+	txV1Request                 // v1: firmware request generation
+	txV1Fetch                   // v1: FIFO space, fetch
+	txV1Inject                  // v1: data landed, inject
+	txV2Refill                  // v2: firmware kicks a refill
+	txV2Packet                  // v2: next packet of the batch
+	txV2Fetch                   // v2: FIFO space, fetch
+	txV3Window                  // v3: window credit
+	txV3Fetch                   // v3: FIFO space, fetch
+	txV3Drain                   // v3: wait for the job's data
+	txRearm                     // GPU: engine retire/re-arm
+	txBar1Fetch                 // BAR1: FIFO space, issue the read
+)
+
+// stepTX runs the TX dispatcher until it has to wait; whatever ends the
+// wait calls it again. Control messages (GET requests and error replies)
+// carry card-built descriptors, not memory, so they skip the read
+// engines; GET data replies are ordinary host/GPU reads.
+func (c *Card) stepTX() {
+	for c.txStep() {
 	}
+}
+
+// txStep takes one step of the TX dispatcher and reports whether it may
+// take the next at once.
+func (c *Card) txStep() bool {
+	switch c.tx.state {
+	case txGetJob:
+		return c.txDispatch()
+	case txControl:
+		return c.txControl()
+	case txHostDriver, txHostFIFO:
+		return c.txHost()
+	case txBar1Fetch:
+		return c.txGPUBar1()
+	case txDrain:
+		return c.txFetched() && c.txJobDone()
+	default:
+		return c.txGPU()
+	}
+}
+
+// txDispatch takes the next job from the TX queue and routes it to its
+// fetch path.
+func (c *Card) txDispatch() bool {
+	tx := &c.tx
+	job, ok := c.txq.GetFunc(tx.run)
+	if !ok {
+		return false
+	}
+	if job.enqueued > 0 && c.Rec.Stages() {
+		c.stage(job.enqueued, c.Eng.Now(), "txq", job, job.Bytes, "leg="+job.Kind.String())
+	}
+	tx.job, tx.pkts, tx.next = job, c.packetize(job), 0
+	switch {
+	case job.Kind == JobGetRequest || job.Kind == JobGetError:
+		tx.state = txControl
+	case job.SrcKind == HostMem:
+		tx.state = txHostDriver
+	case c.Cfg.GPUTXMethod == MethodBAR1:
+		tx.bar1 = job.SrcGPU.BAR1Reader(c.Fab, c.PCI)
+		tx.state = txBar1Fetch
+	default:
+		// Per-message firmware setup: map the buffer context, program
+		// the engine.
+		tx.state = txGPUVersion
+		return c.Nios.Exec(tx.nios, "GPU_P2P_TX", c.Cfg.TXMsgSetupGPU, tx.run)
+	}
+	return true
 }
 
 // txControl pushes a control message (its payload is a descriptor the
-// card already holds, nothing is fetched from memory) into the injector.
-func (c *Card) txControl(p *sim.Proc, job *TXJob) {
-	pkts := c.packetize(job)
-	for i := range pkts {
-		pkt := &pkts[i]
-		c.txFIFO.Put(p, int64(c.wireSize(pkt)))
-		c.emitPacketTX(p, pkt)
+// card already holds, nothing is fetched from memory) into the injector,
+// one packet per step.
+func (c *Card) txControl() bool {
+	tx := &c.tx
+	if tx.next == len(tx.pkts) {
+		return c.txJobDone()
+	}
+	pkt := &tx.pkts[tx.next]
+	if !c.txFIFO.PutFunc(int64(c.wireSize(pkt)), tx.run) {
+		return false
+	}
+	c.injectQ.TryPut(pkt)
+	tx.next++
+	return true
+}
+
+// txFetched reports whether the job's data has all landed; otherwise the
+// dispatcher waits for the last fetch, held in the TX context so jobs
+// stay ordered on the wire.
+func (c *Card) txFetched() bool {
+	if c.tx.outstanding == 0 {
+		return true
+	}
+	c.txDrained.WaitFunc(c.tx.run)
+	return false
+}
+
+// txLanded accounts one fetch of the job landing in the TX FIFO.
+func (c *Card) txLanded() {
+	c.tx.outstanding--
+	if c.tx.outstanding == 0 {
+		c.txDrained.Broadcast()
 	}
 }
 
-// runNiosTXWorker executes deferred per-packet TX firmware work (source
-// V2P translation, descriptor push). It contends with RX processing for
-// the Nios II — the mechanism behind the loop-back bandwidth loss and the
+// txJobDone ends the job: the dispatcher takes the next one.
+func (c *Card) txJobDone() bool {
+	c.tx.job, c.tx.pkts, c.tx.bar1 = nil, nil, nil
+	c.tx.state = txGetJob
+	return true
+}
+
+// waitUntil is a state machine's SleepUntil: it reports true when t is
+// not in the future, and otherwise schedules fn at t.
+func (c *Card) waitUntil(t sim.Time, fn func()) bool {
+	if t <= c.Eng.Now() {
+		return true
+	}
+	c.Eng.At(t, fn)
+	return false
+}
+
+// niosTXWorker executes deferred per-packet TX firmware work (source V2P
+// translation, descriptor push). It contends with RX processing for the
+// Nios II — the mechanism behind the loop-back bandwidth loss and the
 // v2/v3 difference in Fig 5.
-func (c *Card) runNiosTXWorker(p *sim.Proc) {
-	for {
-		cost := c.niosTXQ.Get(p)
-		c.Nios.Exec(p, "GPU_P2P_TX", cost)
-	}
+type niosTXWorker struct {
+	nios *nios.Slot
+	run  func() // stepNiosTX, bound once in Start
 }
 
-// emitPacketTX hands a fully-fetched packet to the injector.
-func (c *Card) emitPacketTX(p *sim.Proc, pkt *Packet) {
-	c.injectQ.Put(p, pkt)
+// stepNiosTX runs queued firmware work until the queue is empty or a
+// task has to wait for the core.
+func (c *Card) stepNiosTX() {
+	w := &c.niosTX
+	for {
+		cost, ok := c.niosTXQ.GetFunc(w.run)
+		if !ok || !c.Nios.Exec(w.nios, "GPU_P2P_TX", cost, w.run) {
+			return
+		}
+	}
 }
 
 func (c *Card) wireSize(pkt *Packet) units.ByteSize {

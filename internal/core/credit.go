@@ -26,27 +26,28 @@ import (
 //     empty, whichever side the engine happened to execute first.
 //
 // Serially one engine serializes both cards, so the ledger is touched
-// inline from the sender's proc: an immediate grant costs zero events, a
-// deferred one schedules the wake when the credit frees. On a sharded
-// torus the pool lives with its card — on the destination card's shard —
-// and acquisition becomes a request/grant message pair:
+// inline from the sender's injector: an immediate grant costs zero
+// events, a deferred one schedules the injector's continuation when the
+// credit frees. On a sharded torus the pool lives with its card — on the
+// destination card's shard — and acquisition becomes a request/grant
+// message pair:
 //
 //	sender shard                      destination shard
 //	------------                      -----------------
 //	Post request (infra, stamp t) --> creditRequest(t, seq)
 //	                                    free credit: grant at max(t, freed)
 //	                                    none free:   queue by key, grant on release
-//	park injector            <-- Post grant (stamp = grant time)
-//	resume at grant time
+//	injector waits           <-- Post grant (stamp = grant time)
+//	injector continues at grant time
 //
 // Every time in the exchange is computed, never read from a racing clock,
 // so grants are bit-exact: a credit freed at time f serves a request
 // stamped t at max(t, f), exactly when the serial ledger would have
 // granted it.
 //
-// A waiter records the requesting card, not a closure: runInjector is
-// the only caller of creditAcquire, so a grant always resumes the card's
-// injector, through a wake callback bound once per card. Taking,
+// A waiter records the requesting card, not a closure: the injector is
+// the only caller of creditAcquire, so a grant always runs the card's
+// injector continuation, bound once per card, as its last action. Taking,
 // queueing, granting and releasing a credit allocate nothing; only the
 // sharded request post carries a closure.
 type creditLedger struct {
@@ -132,30 +133,27 @@ func (l *creditLedger) release(at sim.Time) (w creditWaiter, grant sim.Time, ok 
 	return w, at, true
 }
 
-// creditAcquire takes one RX credit of dest for a packet this card is
-// about to inject, blocking p — the card's injector — until granted.
-// Serial worlds run the ledger inline; sharded worlds run the message
-// protocol above.
-func (c *Card) creditAcquire(p *sim.Proc, dest *Card) {
-	t := p.Now()
+// creditAcquire takes one RX credit of dest for the packet this card's
+// injector is about to inject. It reports true when the credit is granted
+// at once, so the injector continues; otherwise the grant runs the
+// injector's continuation. Serial worlds run the ledger inline; sharded
+// worlds run the message protocol above.
+func (c *Card) creditAcquire(dest *Card) bool {
+	t := c.Eng.Now()
 	seq := c.creditSeq
 	c.creditSeq++
 	if c.Net.sharded {
 		c.Eng.Post(dest.Eng.Shard(), t, true, func() { dest.creditRequest(c, t, seq) })
-		p.Park("rx credits")
-		return
+		return false
 	}
 	if at, ok := dest.ledger.take(t); ok {
 		// Serial releases are stamped now and requests carry now, so an
 		// inline grant can never lie in the future: the injector
 		// continues at t with zero events spent.
-		if at > t {
-			p.SleepUntil(at)
-		}
-		return
+		return c.waitUntil(at, c.inj.run)
 	}
 	dest.ledger.wait(creditWaiter{t: t, card: c, seq: seq})
-	p.Park("rx credits")
+	return false
 }
 
 // creditRequest serves card from's sharded request, stamped t, on this
@@ -168,19 +166,19 @@ func (c *Card) creditRequest(from *Card, t sim.Time, seq uint64) {
 	c.ledger.wait(creditWaiter{t: t, card: from, seq: seq})
 }
 
-// grantCredit resumes the injector of card to, whose request stamped t
+// grantCredit continues the injector of card to, whose request stamped t
 // got one of this card's credits at time at. A blocked grant (at > t)
-// costs one counted wake, the semaphore parity; an equal-time one is
+// costs one counted event, the semaphore parity; an equal-time one is
 // bookkeeping only. It runs on this card's shard.
 func (c *Card) grantCredit(to *Card, t, at sim.Time) {
 	blocked := at > t
 	switch {
 	case c.Net.sharded:
-		c.Eng.Post(to.Eng.Shard(), at, !blocked, to.wakeInjector)
+		c.Eng.Post(to.Eng.Shard(), at, !blocked, to.inj.run)
 	case blocked:
-		to.Eng.At(at, to.wakeInjector)
+		to.Eng.At(at, to.inj.run)
 	default:
-		to.Eng.AtInfra(at, to.wakeInjector)
+		to.Eng.AtInfra(at, to.inj.run)
 	}
 }
 

@@ -128,39 +128,58 @@ func (c *Card) OutstandingGets() int { return len(c.outstandingGets) }
 // pipeline — parse, BUF_LIST validation, the shared translation stage,
 // read-DMA programming — charging the firmware work to the Nios II "GET"
 // task so responder occupancy is measurable next to "RX" and
-// "GPU_P2P_TX".
-func (c *Card) rxGetRequest(p *sim.Proc, pkt *Packet) {
-	m := pkt.Job.get
-	tServe := p.Now()
-	c.Nios.Exec(p, "GET", c.Cfg.GetRequestHandling)
-	bytes := m.bytes
-	entry, scanned, ok := c.BufList.Lookup(m.remoteAddr, bytes)
-	c.translateAt(p, "GET", m.remoteAddr, scanned, ok)
-	if !ok {
-		c.replyGetError(p, m, fmt.Sprintf("remote address %#x+%v not registered on rank %d", m.remoteAddr, bytes, c.Rank))
-		return
+// "GPU_P2P_TX". The steps below run in that order as RX engine states;
+// the serve stage span starts here.
+func (c *Card) rxGetRequest() bool {
+	rx := &c.rx
+	rx.t0, rx.state = c.Eng.Now(), rxGetParsed
+	return c.Nios.Exec(rx.nios, "GET", c.Cfg.GetRequestHandling, rx.run)
+}
+
+// rxGetParsed validates a parsed GET request against the BUF_LIST and
+// translates its remote address.
+func (c *Card) rxGetParsed() bool {
+	rx := &c.rx
+	m := rx.pkt.Job.get
+	var scanned int
+	rx.entry, scanned, rx.ok = c.BufList.Lookup(m.remoteAddr, m.bytes)
+	return c.translateAt("GET", m.remoteAddr, scanned, rx.ok)
+}
+
+// rxGetTranslated answers an unregistered request with an error reply and
+// otherwise programs the read DMA.
+func (c *Card) rxGetTranslated() bool {
+	rx := &c.rx
+	if m := rx.pkt.Job.get; !rx.ok {
+		c.replyGetError(m, fmt.Sprintf("remote address %#x+%v not registered on rank %d", m.remoteAddr, m.bytes, c.Rank))
+		return c.rxDone()
 	}
-	// Program the read DMA and inject the reply as an ordinary routed
-	// data stream: a host-read (DMA engine) or GPU-P2P-read (gpu.Device)
-	// TX job toward the requester's reply buffer.
-	c.Nios.Exec(p, "GET", c.Cfg.GetReadDMASetup)
+	rx.state = rxServe
+	return c.Nios.Exec(rx.nios, "GET", c.Cfg.GetReadDMASetup, rx.run)
+}
+
+// rxServe injects the reply as an ordinary routed data stream: a
+// host-read (DMA engine) or GPU-P2P-read (gpu.Device) TX job toward the
+// requester's reply buffer.
+func (c *Card) rxServe() {
+	m, entry := c.rx.pkt.Job.get, c.rx.entry
 	reply := &TXJob{
 		Kind:    JobGetReply,
 		SrcKind: entry.Kind,
 		SrcGPU:  entry.GPU,
 		DstRank: m.requester,
 		DstAddr: m.replyAddr,
-		Bytes:   bytes,
+		Bytes:   m.bytes,
 		get:     m,
 	}
 	if c.Rec.Enabled() {
-		c.Rec.Emit(p.Now(), c.Name+".get", "get_reply", int64(bytes),
+		c.Rec.Emit(c.Eng.Now(), c.Name+".get", "get_reply", int64(m.bytes),
 			fmt.Sprintf("req %d: %s read %#x -> rank %d", m.reqID, entry.Kind, m.remoteAddr, m.requester))
 	}
 	if c.Rec.Stages() {
-		c.stage(tServe, p.Now(), "serve", reply, bytes, fmt.Sprintf("responder=%d", c.Rank))
+		c.stage(c.rx.t0, c.Eng.Now(), "serve", reply, m.bytes, fmt.Sprintf("responder=%d", c.Rank))
 	}
-	c.submitGetReply(p, reply)
+	c.submitGetReply(reply)
 }
 
 // replyGetError sends a GET error reply: a control message that fails the
@@ -168,9 +187,9 @@ func (c *Card) rxGetRequest(p *sim.Proc, pkt *Packet) {
 // unreachable the failure is delivered directly (the simulation's
 // equivalent of the requester timing out a request the fabric can no
 // longer answer).
-func (c *Card) replyGetError(p *sim.Proc, m *getMeta, status string) {
+func (c *Card) replyGetError(m *getMeta, status string) {
 	if c.Rec.Enabled() {
-		c.Rec.Emit(p.Now(), c.Name+".get", "get_reply", 0,
+		c.Rec.Emit(c.Eng.Now(), c.Name+".get", "get_reply", 0,
 			fmt.Sprintf("req %d: error to rank %d: %s", m.reqID, m.requester, status))
 	}
 	if !c.Net.Reachable(c.Coord, c.Net.Dims.CoordOf(m.requester)) {
@@ -186,33 +205,51 @@ func (c *Card) replyGetError(p *sim.Proc, m *getMeta, status string) {
 		Bytes:   c.Cfg.GetRequestBytes,
 		get:     &em,
 	}
-	c.submitGetReply(p, errJob)
+	c.submitGetReply(errJob)
 }
 
-// submitGetReply hands a reply (data or error) to the responder process.
-// The RX engine never blocks here — the queue is unbounded — so request
+// submitGetReply hands a reply (data or error) to the GET responder. The
+// RX engine never waits here — the queue is unbounded — so request
 // processing cannot deadlock against TX backpressure.
-func (c *Card) submitGetReply(p *sim.Proc, job *TXJob) {
+func (c *Card) submitGetReply(job *TXJob) {
 	c.assignJobID(job)
-	job.Submitted = p.Now()
-	job.enqueued = p.Now()
-	c.getReplyQ.Put(p, job)
+	job.Submitted = c.Eng.Now()
+	job.enqueued = job.Submitted
+	c.getReplyQ.TryPut(job)
 }
 
-// runGetResponder drains validated GET replies into the normal TX path,
+// getResponder drains validated GET replies into the normal TX path,
 // where they serialize with the card's own jobs and pay the same read
-// engines (host DMA / GPU_P2P_TX) and injection costs as a PUT.
-func (c *Card) runGetResponder(p *sim.Proc) {
+// engines (host DMA / GPU_P2P_TX) and injection costs as a PUT. job is
+// the reply waiting for TX queue space, if any.
+type getResponder struct {
+	job *TXJob
+	run func() // stepGetResponder, bound once in Start
+}
+
+// stepGetResponder moves replies into the TX queue until the reply queue
+// is empty or the TX queue is full.
+func (c *Card) stepGetResponder() {
+	g := &c.getRsp
 	for {
-		job := c.getReplyQ.Get(p)
-		if !c.Net.Reachable(c.Coord, c.Net.Dims.CoordOf(job.DstRank)) {
-			// The reply crossing is partitioned (links died after the
-			// request crossed): ENETUNREACH propagates to the requester as
-			// an error completion instead of a hang.
-			c.failRemoteGet(job.get, fmt.Sprintf("reply unreachable: rank %d cut off from rank %d", job.DstRank, c.Rank))
-			continue
+		if g.job == nil {
+			job, ok := c.getReplyQ.GetFunc(g.run)
+			if !ok {
+				return
+			}
+			if !c.Net.Reachable(c.Coord, c.Net.Dims.CoordOf(job.DstRank)) {
+				// The reply crossing is partitioned (links died after the
+				// request crossed): ENETUNREACH propagates to the
+				// requester as an error completion instead of a hang.
+				c.failRemoteGet(job.get, fmt.Sprintf("reply unreachable: rank %d cut off from rank %d", job.DstRank, c.Rank))
+				continue
+			}
+			g.job = job
 		}
-		c.txq.Put(p, job)
+		if !c.txq.PutFunc(g.job, g.run) {
+			return
+		}
+		g.job = nil
 	}
 }
 
@@ -260,29 +297,4 @@ func (c *Card) finishGet(reqID uint64, arrivedBytes units.ByteSize, err string) 
 		Payload: job.Payload,
 		Err:     err,
 	})
-}
-
-// rxGetError is the requester's handling of an error reply: firmware
-// raises the failed completion.
-func (c *Card) rxGetError(p *sim.Proc, pkt *Packet) {
-	m := pkt.Job.get
-	c.Nios.Exec(p, "RX", c.Cfg.RXCompletion)
-	c.finishGet(m.reqID, 0, m.status)
-}
-
-// completeGetReply retires a fully-delivered GET reply: firmware raises
-// the completion once both its work and the payload's DMA write have
-// finished, exactly like a PUT's RecvDone — but it lands on the GetCQ,
-// matched to the outstanding request by reqID.
-func (c *Card) completeGetReply(p *sim.Proc, job *TXJob, arrival sim.Time) {
-	tFin := p.Now()
-	c.Nios.Exec(p, "RX", c.Cfg.RXCompletion)
-	if now := c.Eng.Now(); arrival < now {
-		arrival = now
-	}
-	if c.Rec.Stages() {
-		c.stage(tFin, arrival, "deliver", job, job.Bytes, fmt.Sprintf("src=%d", job.srcRank))
-	}
-	reqID, bytes := job.get.reqID, job.Bytes
-	c.Eng.At(arrival, func() { c.finishGet(reqID, bytes, "") })
 }

@@ -332,3 +332,37 @@ func TestGetCrossTrafficNoDeadlock(t *testing.T) {
 		}
 	}
 }
+
+// A card owns no proc: its engines are event-driven state machines, so
+// once a host PUT and a GET exchange between two cards have drained, no
+// proc is left blocked — neither card engines waiting on their queues
+// nor the rank procs, which ran to completion.
+func TestCardsLeaveNoBlockedProcs(t *testing.T) {
+	eng, _, eps, bufs := getPair(t, nil)
+	defer eng.Shutdown()
+	const n = 64 * units.KB
+	eng.Go("put", func(p *sim.Proc) {
+		if _, err := eps[0].PutBuffer(p, 1, bufs[1], bufs[0], n, rdma.PutFlags{}); err != nil {
+			t.Error(err)
+			return
+		}
+		eps[0].WaitSend(p)
+	})
+	eng.Go("recv", func(p *sim.Proc) { eps[1].WaitRecv(p) })
+	eng.Go("get", func(p *sim.Proc) {
+		if _, err := eps[1].GetBuffer(p, 0, bufs[0], bufs[1], n, rdma.GetFlags{}); err != nil {
+			t.Error(err)
+			return
+		}
+		if comp := eps[1].WaitGet(p); comp.Err != "" || comp.Bytes != n {
+			t.Errorf("GET completion %+v", comp)
+		}
+	})
+	eng.Run()
+	if blocked := eng.Blocked(); len(blocked) != 0 {
+		t.Fatalf("blocked procs after the exchange: %q", blocked)
+	}
+	if eng.Steps() == 0 {
+		t.Fatal("nothing ran")
+	}
+}

@@ -6,76 +6,129 @@ import (
 
 	"apenetsim/internal/route"
 	"apenetsim/internal/sim"
+	"apenetsim/internal/units"
 )
 
-// runInjector drains fully-fetched packets from the TX path into the
-// router: it serializes on the first link hop (the card has one injection
-// port per route), frees TX FIFO space as the packet leaves, and hands the
+// injector drains fully-fetched packets from the TX path into the router:
+// it serializes on the first link hop (the card has one injection port
+// per route), frees TX FIFO space as the packet leaves, and hands the
 // remaining hops to Network.forwardOrdered, which books them as
 // cut-through reservations at each hop's wire-arrival time, asking the
 // network's route.Router for every hop. In flush mode the internal switch
 // discards packets (the paper's raw memory-read measurement).
-func (c *Card) runInjector(p *sim.Proc) {
-	for {
-		pkt := c.injectQ.Get(p)
-		wire := c.wireSize(pkt)
+type injector struct {
+	state injState
+	pkt   *Packet
+	wire  units.ByteSize
+	dest  *Card
+	// injT is when the packet got its credit, dec the router's first-hop
+	// decision, and start/end the first hop's (or loop port's) slot.
+	injT       sim.Time
+	dec        route.Decision
+	start, end sim.Time
+	run        func() // stepInjector, bound once in Start
+}
 
-		if c.Cfg.FlushAtSwitch {
-			_, end := c.switchCh.ReserveRaw(p.Now(), wire)
-			p.SleepUntil(end)
-			c.txFIFO.Get(p, int64(wire))
-			c.completePacketTX(pkt)
-			continue
+// injState names the injector's next step.
+type injState uint8
+
+const (
+	injGet     injState = iota // take the next packet
+	injCredit                  // credit granted: book the first hop
+	injSent                    // packet on the wire: free FIFO space
+	injDropped                 // no route: free FIFO space, account the loss
+)
+
+// stepInjector runs the injector until it has to wait; whatever ends the
+// wait — a queued packet, a credit grant, the end of the wire time —
+// calls it again.
+func (c *Card) stepInjector() {
+	for c.injStep() {
+	}
+}
+
+// injStep takes one step of the injector and reports whether it may take
+// the next at once.
+func (c *Card) injStep() bool {
+	in := &c.inj
+	switch in.state {
+	case injGet:
+		pkt, ok := c.injectQ.GetFunc(in.run)
+		if !ok {
+			return false
 		}
-
-		dstCoord := c.Net.Dims.CoordOf(pkt.Job.DstRank)
+		in.pkt, in.wire = pkt, c.wireSize(pkt)
+		if c.Cfg.FlushAtSwitch {
+			_, in.end = c.switchCh.ReserveRaw(c.Eng.Now(), in.wire)
+			in.state = injSent
+			return c.waitUntil(in.end, in.run)
+		}
 		if pkt.Job.DstRank == c.Rank {
 			// Local injection -> extraction through the internal switch.
-			c.creditAcquire(p, c)
-			_, end := c.loopCh.ReserveRaw(p.Now(), wire)
-			p.SleepUntil(end)
-			c.txFIFO.Get(p, int64(wire))
-			c.completePacketTX(pkt)
-			arrival := end.Add(c.Cfg.LoopbackLatency)
-			c.Eng.At(arrival, func() { c.rxQ.TryPut(pkt) })
-			continue
-		}
-
-		dest := c.Net.Card(pkt.Job.DstRank)
-		if dest == nil {
+			in.dest = c
+		} else if in.dest = c.Net.Card(pkt.Job.DstRank); in.dest == nil {
 			panic("core: packet routed to unregistered card")
 		}
 		// Link-level flow control: wait for receive buffering at the
 		// destination before injecting.
-		c.creditAcquire(p, dest)
-
-		injT := p.Now()
-		dec, ok := c.Net.nextHop(c.Coord, dstCoord, injT, wire)
+		in.state = injCredit
+		return c.creditAcquire(in.dest)
+	case injCredit:
+		if in.dest == c {
+			_, in.end = c.loopCh.ReserveRaw(c.Eng.Now(), in.wire)
+			in.state = injSent
+			return c.waitUntil(in.end, in.run)
+		}
+		in.injT = c.Eng.Now()
+		dstCoord := c.Net.Dims.CoordOf(in.pkt.Job.DstRank)
+		dec, ok := c.Net.nextHop(c.Coord, dstCoord, in.injT, in.wire)
 		if !ok {
-			c.dropUnroutable(p, pkt, dest)
-			continue
+			// The very first hop has no usable link: the packet is
+			// dropped, keeping the TX pipeline healthy.
+			in.state = injDropped
+			return true
 		}
-		c.accountHop(pkt.Job, dec)
-		hopStart, end := c.Net.reserveHop(c.Rank, dec.Dir, injT, wire)
-		p.SleepUntil(end)
-		c.txFIFO.Get(p, int64(wire))
+		c.accountHop(in.pkt.Job, dec)
+		in.dec = dec
+		in.start, in.end = c.Net.reserveHop(c.Rank, dec.Dir, in.injT, in.wire)
+		in.state = injSent
+		return c.waitUntil(in.end, in.run)
+	case injSent:
+		if !c.txFIFO.GetFunc(int64(in.wire), in.run) {
+			return false
+		}
+		pkt := in.pkt
 		c.completePacketTX(pkt)
-		if c.Rec.Stages() {
-			c.stage(injT, hopStart, "inject", pkt.Job, wire, fmt.Sprintf("seq=%d", pkt.Seq))
+		switch {
+		case c.Cfg.FlushAtSwitch:
+		case in.dest == c:
+			arrival := in.end.Add(c.Cfg.LoopbackLatency)
+			c.Eng.At(arrival, func() { c.rxQ.TryPut(pkt) })
+		default:
+			if c.Rec.Stages() {
+				c.stage(in.injT, in.start, "inject", pkt.Job, in.wire, fmt.Sprintf("seq=%d", pkt.Seq))
+			}
+			c.Net.traceHop(c.Rec, pkt, c.Rank, in.dec, in.start, in.end)
+			c.Net.forwardOrdered(c, pkt, in.dest, c.Net.Dims.Neighbor(c.Coord, in.dec.Dir),
+				in.end.Add(c.Net.hopLat), c.hopKey())
 		}
-		c.Net.traceHop(c.Rec, pkt, c.Rank, dec, hopStart, end)
-		c.Net.forwardOrdered(c, pkt, dest, c.Net.Dims.Neighbor(c.Coord, dec.Dir),
-			end.Add(c.Net.hopLat), c.hopKey())
+		return c.injDone()
+	default: // injDropped
+		// FIFO space is freed and the local send completion still fires.
+		if !c.txFIFO.GetFunc(int64(in.wire), in.run) {
+			return false
+		}
+		c.completePacketTX(in.pkt)
+		c.accountLostPacket(c, c.Eng.Now(), in.pkt, in.dest, "no route to rank %d")
+		return c.injDone()
 	}
 }
 
-// dropUnroutable discards a packet whose very first hop had no usable
-// link, keeping the TX pipeline healthy: FIFO space is freed and the
-// local send completion still fires.
-func (c *Card) dropUnroutable(p *sim.Proc, pkt *Packet, dest *Card) {
-	c.txFIFO.Get(p, int64(c.wireSize(pkt)))
-	c.completePacketTX(pkt)
-	c.accountLostPacket(c, p.Now(), pkt, dest, "no route to rank %d")
+// injDone ends the packet: the injector takes the next one.
+func (c *Card) injDone() bool {
+	c.inj.pkt, c.inj.dest = nil, nil
+	c.inj.state = injGet
+	return true
 }
 
 // accountLostPacket is the one loss tail, for a packet this card injected

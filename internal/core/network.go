@@ -462,8 +462,11 @@ func (n *Network) LinkStats() []LinkStat {
 }
 
 // HotLinks returns the k busiest links by carried wire bytes (ties broken
-// by rank/dir for determinism).
+// by rank/dir for determinism); none when k <= 0.
 func (n *Network) HotLinks(k int) []LinkStat {
+	if k <= 0 {
+		return nil
+	}
 	stats := n.LinkStats()
 	sort.SliceStable(stats, func(i, j int) bool {
 		return stats[i].WireBytes > stats[j].WireBytes

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"apenetsim/internal/cluster"
@@ -107,8 +108,24 @@ func TestHotLinksOrderingAndTieBreaks(t *testing.T) {
 	if hot[0].WireBytes != 2*l0.WireBytes {
 		t.Fatalf("hot link bytes %d, want double the tied links' %d", hot[0].WireBytes, l0.WireBytes)
 	}
-	if got := net.HotLinks(1); len(got) != 1 || got[0].Name() != want[0] {
-		t.Fatalf("HotLinks(1) = %v", got)
+	for _, tc := range []struct {
+		k     int
+		names []string
+	}{
+		{-1, nil},
+		{0, nil},
+		{1, want[:1]},
+		{3, want},
+		{10, want}, // more than there are active links
+	} {
+		got := net.HotLinks(tc.k)
+		var names []string
+		for _, l := range got {
+			names = append(names, l.Name())
+		}
+		if !reflect.DeepEqual(names, tc.names) {
+			t.Errorf("HotLinks(%d) = %v, want %v", tc.k, names, tc.names)
+		}
 	}
 	if total := net.TotalLinkWireBytes(); total != hot[0].WireBytes+l0.WireBytes+l2.WireBytes {
 		t.Fatalf("conservation: total %d != sum of per-link bytes", total)

@@ -12,31 +12,31 @@ import (
 // The ~2.4 GB/s host-memory read of Table I emerges from the read engine's
 // tag count and the host completion latency; no bandwidth value is coded
 // here.
-func (c *Card) txHost(p *sim.Proc, job *TXJob) {
-	outstanding := 0
-	drained := sim.NewSignal(c.Eng)
-	pkts := c.packetize(job)
-	for i := range pkts {
-		pkt := &pkts[i]
+func (c *Card) txHost() bool {
+	tx := &c.tx
+	if tx.state == txHostDriver {
+		if tx.next == len(tx.pkts) {
+			tx.state = txDrain
+			return true
+		}
 		// Per-descriptor driver work (host CPU, not Nios).
-		p.Sleep(c.Cfg.TXDriverPerPacket)
-		// Reserve FIFO space, stalling on backpressure, then fetch the
-		// payload from host memory; reads for successive packets pipeline
-		// in the DMA engine, packets enter the injector in completion
-		// (= issue) order.
-		c.txFIFO.Put(p, int64(c.wireSize(pkt)))
-		outstanding++
-		c.hostReader.ReadAsync(p, pkt.Bytes, func(sim.Time) {
-			c.injectQ.TryPut(pkt)
-			outstanding--
-			if outstanding == 0 {
-				drained.Broadcast()
-			}
-		})
+		tx.state = txHostFIFO
+		c.Eng.After(c.Cfg.TXDriverPerPacket, tx.run)
+		return false
 	}
-	// Hold the TX context until this job's data is fully fetched so jobs
-	// stay ordered on the wire.
-	for outstanding > 0 {
-		drained.Wait(p, "txhost.drain")
+	// Reserve FIFO space, stalling on backpressure, then fetch the
+	// payload from host memory; reads for successive packets pipeline
+	// in the DMA engine, packets enter the injector in completion
+	// (= issue) order.
+	pkt := &tx.pkts[tx.next]
+	if !c.txFIFO.PutFunc(int64(c.wireSize(pkt)), tx.run) {
+		return false
 	}
+	tx.outstanding++
+	tx.next++
+	tx.state = txHostDriver
+	return c.hostReader.ReadFunc(pkt.Bytes, func(sim.Time) {
+		c.injectQ.TryPut(pkt)
+		c.txLanded()
+	}, tx.run)
 }

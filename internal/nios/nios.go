@@ -57,25 +57,63 @@ func (c *CPU) Scale(refDur sim.Duration) sim.Duration {
 	return sim.Duration(float64(refDur) * RefClockMHz / c.clockMHz)
 }
 
-// Exec runs a named firmware task for refDur (at the reference clock),
-// serializing against every other task on the core. This serialization is
-// the mechanism behind the paper's loop-back bandwidth drop: when the core
-// must run both GPU_P2P_TX and RX processing, each steals time from the
-// other (§V.B).
-func (c *CPU) Exec(p *sim.Proc, task string, refDur sim.Duration) {
+// Slot is one engine's reusable handle for running firmware tasks on the
+// CPU, one at a time: it holds the running task and its continuation, and
+// its events are bound once, so a task allocates nothing.
+type Slot struct {
+	cpu            *CPU
+	task           string
+	d              sim.Duration
+	t0             sim.Time
+	next           func()
+	acquired, done func()
+}
+
+// NewSlot returns a task slot on this CPU for one engine.
+func (c *CPU) NewSlot() *Slot {
+	s := &Slot{cpu: c}
+	s.acquired = s.run
+	s.done = s.finish
+	return s
+}
+
+// Exec runs a named firmware task for refDur (at the reference clock)
+// through slot s, serializing against every other task on the core. This
+// serialization is the mechanism behind the paper's loop-back bandwidth
+// drop: when the core must run both GPU_P2P_TX and RX processing, each
+// steals time from the other (§V.B). A task of no cost runs nothing and
+// Exec reports true, so the caller continues at once; otherwise Exec
+// reports false, the task waits its turn on the core and runs, and next
+// is called when it finishes.
+func (c *CPU) Exec(s *Slot, task string, refDur sim.Duration, next func()) bool {
 	if refDur <= 0 {
-		return
+		return true
 	}
-	d := c.Scale(refDur)
-	t0 := p.Now()
-	c.core.Acquire(p, 1)
-	p.Sleep(d)
+	if s.next != nil {
+		panic("nios: slot already runs task " + s.task)
+	}
+	s.task, s.d, s.t0, s.next = task, c.Scale(refDur), c.eng.Now(), next
+	if c.core.AcquireFunc(1, s.acquired) {
+		s.run()
+	}
+	return false
+}
+
+// run starts the task on the core, which it holds.
+func (s *Slot) run() { s.cpu.eng.After(s.d, s.done) }
+
+// finish releases the core, accounts the task and continues its engine.
+func (s *Slot) finish() {
+	c := s.cpu
 	c.core.Release(1)
 	if c.rec.Stages() {
-		c.rec.EmitSpan(t0, p.Now(), c.name, "task", 0, task)
+		c.rec.EmitSpan(s.t0, c.eng.Now(), c.name, "task", 0, s.task)
 	}
-	c.taskBusy[task] += d
-	c.taskRuns[task]++
+	c.taskBusy[s.task] += s.d
+	c.taskRuns[s.task]++
+	next := s.next
+	s.next = nil
+	next()
 }
 
 // BusyTime returns the cumulative execution time of one task.

@@ -9,14 +9,13 @@ import (
 func TestExecSerializesTasks(t *testing.T) {
 	eng := sim.New()
 	cpu := New(eng, "nios", 200)
+	rx, tx := cpu.NewSlot(), cpu.NewSlot()
 	var rxDone, txDone sim.Time
-	eng.Go("rx", func(p *sim.Proc) {
-		cpu.Exec(p, "RX", 3*sim.Microsecond)
-		rxDone = p.Now()
+	eng.At(0, func() {
+		cpu.Exec(rx, "RX", 3*sim.Microsecond, func() { rxDone = eng.Now() })
 	})
-	eng.Go("tx", func(p *sim.Proc) {
-		cpu.Exec(p, "GPU_P2P_TX", 2*sim.Microsecond)
-		txDone = p.Now()
+	eng.At(0, func() {
+		cpu.Exec(tx, "GPU_P2P_TX", 2*sim.Microsecond, func() { txDone = eng.Now() })
 	})
 	eng.Run()
 	// Both started at t=0 but must serialize: 3us then 2us.
@@ -43,12 +42,21 @@ func TestClockScaling(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	eng := sim.New()
 	cpu := New(eng, "nios", 200)
-	eng.Go("w", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			cpu.Exec(p, "RX", sim.Microsecond)
+	slot := cpu.NewSlot()
+	// One engine runs five RX tasks, then a TX task, each continuing from
+	// the last one's completion.
+	runs := 0
+	var next func()
+	next = func() {
+		runs++
+		switch {
+		case runs <= 5:
+			cpu.Exec(slot, "RX", sim.Microsecond, next)
+		case runs == 6:
+			cpu.Exec(slot, "TX", 2*sim.Microsecond, next)
 		}
-		cpu.Exec(p, "TX", 2*sim.Microsecond)
-	})
+	}
+	eng.At(0, next)
 	eng.Run()
 	if cpu.BusyTime("RX") != 5*sim.Microsecond || cpu.Runs("RX") != 5 {
 		t.Fatalf("RX accounting: %v/%d", cpu.BusyTime("RX"), cpu.Runs("RX"))
@@ -70,7 +78,7 @@ func TestAccounting(t *testing.T) {
 	if cpu.TaskUtilization("RX", 0) != 0 || cpu.TaskUtilization("none", eng.Now()) != 0 {
 		t.Fatal("degenerate task utilizations should be 0")
 	}
-	if cpu.Exec(nil, "zero", 0); cpu.BusyTime("zero") != 0 {
-		t.Fatal("zero-cost exec should be free")
+	if !cpu.Exec(slot, "zero", 0, nil) || cpu.BusyTime("zero") != 0 || cpu.Runs("zero") != 0 {
+		t.Fatal("zero-cost exec should be free and continue at once")
 	}
 }

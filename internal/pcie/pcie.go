@@ -483,6 +483,11 @@ func (p *Path) SendRaw(from sim.Time, n units.ByteSize) (senderFree, arrival sim
 // a bounded number of outstanding requests, the way a DMA engine does. The
 // closed request loop is what produces realistic read bandwidths (e.g. the
 // card's 2.4 GB/s host-memory read over a 4 GB/s link).
+//
+// A Reader issues one read's chunks at a time, in one loop driven by tag
+// grants: each chunk takes a request tag, free tags are taken at once, and
+// a tag grant's event resumes the loop. A read's caller continues once its
+// last chunk is issued, while the completions are still in flight.
 type Reader struct {
 	fab       *Fabric
 	initiator *Device
@@ -494,6 +499,19 @@ type Reader struct {
 	// releaseTag is the completion event of every chunk but a read's
 	// last: bound once here, so a chunk schedules it without allocating.
 	releaseTag func()
+
+	// The read being issued: the bytes its chunks have yet to request,
+	// its latest completion arrival so far, its completion callback and
+	// the continuation run once its last chunk is issued. resume is the
+	// loop's tag-grant event, bound once here.
+	remaining   units.ByteSize
+	lastArrival sim.Time
+	onDone      func(last sim.Time)
+	issued      func()
+	resume      func()
+	// parked is the proc ReadAsync parked until the last chunk is issued.
+	parked     *sim.Proc
+	wakeParked func()
 }
 
 // NewReader builds a read engine: `outstanding` in-flight requests of
@@ -509,49 +527,103 @@ func (f *Fabric) NewReader(initiator, target *Device, outstanding int, chunk uni
 		chunk:     chunk,
 	}
 	r.releaseTag = func() { r.tags.Release(1) }
+	r.resume = r.grant
 	return r
 }
 
-// ReadAsync fetches n bytes, blocking p only while the engine is out of
-// request tags; onDone fires (in engine context) when the last completion
-// arrives. Across successive calls completions arrive in issue order, so
-// a DMA engine streaming many buffers keeps its pipeline full — this is
-// what lets the APEnet+ host-read engine sustain ~2.4 GB/s instead of
-// draining its tags at every packet boundary.
-func (r *Reader) ReadAsync(p *sim.Proc, n units.ByteSize, onDone func(last sim.Time)) {
+// ReadFunc starts fetching n bytes; onDone fires (in engine context) when
+// the last completion arrives. It reports true when every chunk was
+// issued at once, so the caller continues; otherwise the loop waits for a
+// request tag and calls issued, from the event of the grant that let the
+// last chunk out, as its last action. Across successive reads
+// completions arrive in issue order, so a DMA engine streaming many
+// buffers keeps its pipeline full — this is what lets the APEnet+
+// host-read engine sustain ~2.4 GB/s instead of draining its tags at
+// every packet boundary. One read issues at a time: the next may start
+// once this one's chunks are out.
+func (r *Reader) ReadFunc(n units.ByteSize, onDone func(last sim.Time), issued func()) bool {
+	if r.remaining > 0 {
+		panic("pcie: read started while another is still issuing")
+	}
 	if n <= 0 {
 		onDone(r.fab.Eng.Now())
+		return true
+	}
+	r.remaining, r.lastArrival, r.onDone, r.issued = n, 0, onDone, issued
+	return r.issue()
+}
+
+// issue issues the current read's chunks while request tags are free. It
+// reports true once the last chunk is out, and false when it waits for a
+// tag, whose grant resumes the loop.
+func (r *Reader) issue() bool {
+	for r.remaining > 0 {
+		if !r.tags.AcquireFunc(1, r.resume) {
+			return false
+		}
+		r.issueChunk()
+	}
+	r.onDone = nil
+	return true
+}
+
+// grant is the tag grant's event: it issues the chunk the tag was granted
+// for, continues the loop, and hands control to the read's caller once
+// the last chunk is out.
+func (r *Reader) grant() {
+	r.issueChunk()
+	if r.issue() {
+		issued := r.issued
+		r.issued = nil
+		issued()
+	}
+}
+
+// issueChunk sends one chunk's request, holding a tag already taken, and
+// schedules the chunk's completion: a tag release, or for the read's last
+// chunk the release and onDone.
+func (r *Reader) issueChunk() {
+	eng := r.fab.Eng
+	sz := r.chunk
+	if sz > r.remaining {
+		sz = r.remaining
+	}
+	r.remaining -= sz
+	// Request TLP travels to the target...
+	_, reqArr := r.reqPath.SendRaw(eng.Now(), ReadRequestTLP)
+	// ...the target thinks...
+	cplStart := reqArr.Add(r.target.CompletionLatency)
+	// ...completions stream back.
+	_, cplArr := r.cplPath.Send(cplStart, sz)
+	if cplArr > r.lastArrival {
+		r.lastArrival = cplArr
+	}
+	if r.remaining > 0 {
+		eng.At(cplArr, r.releaseTag)
 		return
 	}
-	eng := r.fab.Eng
-	remaining := n
-	var lastArrival sim.Time
-	for remaining > 0 {
-		sz := r.chunk
-		if sz > remaining {
-			sz = remaining
+	final, onDone := r.lastArrival, r.onDone
+	eng.At(cplArr, func() {
+		r.tags.Release(1)
+		onDone(final)
+	})
+}
+
+// ReadAsync is ReadFunc for a proc: p stays parked while the engine is out
+// of request tags and continues once the read's last chunk is issued.
+func (r *Reader) ReadAsync(p *sim.Proc, n units.ByteSize, onDone func(last sim.Time)) {
+	if r.wakeParked == nil {
+		r.wakeParked = func() {
+			p := r.parked
+			r.parked = nil
+			r.fab.Eng.Wake(p)
 		}
-		remaining -= sz
-		r.tags.Acquire(p, 1)
-		// Request TLP travels to the target...
-		_, reqArr := r.reqPath.SendRaw(eng.Now(), ReadRequestTLP)
-		// ...the target thinks...
-		cplStart := reqArr.Add(r.target.CompletionLatency)
-		// ...completions stream back.
-		_, cplArr := r.cplPath.Send(cplStart, sz)
-		if cplArr > lastArrival {
-			lastArrival = cplArr
-		}
-		if remaining > 0 {
-			eng.At(cplArr, r.releaseTag)
-			continue
-		}
-		final := lastArrival
-		eng.At(cplArr, func() {
-			r.tags.Release(1)
-			onDone(final)
-		})
 	}
+	if r.ReadFunc(n, onDone, r.wakeParked) {
+		return
+	}
+	r.parked = p
+	p.Park("pcie.read.tags")
 }
 
 // Read fetches n bytes, blocking p until the last completion arrives.

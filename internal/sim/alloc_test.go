@@ -88,12 +88,14 @@ func TestGroupRoundAllocFree(t *testing.T) {
 	}
 }
 
-// TestWakeAllocFree pins allocation-free proc wakes: once the heap array
-// and waiter queues have grown, a RunUntil window in which a blocked
-// proc is woken — by its Sleep event, a Signal Broadcast or Pulse, a
-// Semaphore grant or a Queue Put — and blocks again allocates nothing.
-// Wake events carry the proc instead of a closure, waiter queues reuse
-// their arrays, and blocking stores its reason without formatting it.
+// TestWakeAllocFree pins allocation-free wakes: once the heap array and
+// waiter queues have grown, a RunUntil window in which a blocked proc is
+// woken — by its Sleep event, a Signal Broadcast or Pulse, a Semaphore
+// grant or a Queue Put — and blocks again allocates nothing. Nor does a
+// window in which a callback bound once waits the same way and waits
+// again. Wake events carry the proc or the callback instead of a new
+// closure, waiter queues reuse their arrays, and blocking stores its
+// reason without formatting it.
 func TestWakeAllocFree(t *testing.T) {
 	// ticker reschedules fn every microsecond as infra bookkeeping, which
 	// TestStepAllocFree already pins alloc-free.
@@ -156,6 +158,63 @@ func TestWakeAllocFree(t *testing.T) {
 					q.Put(p, i)
 				}
 			})
+		}},
+		{"broadcast-func", func(eng *Engine) {
+			sig := NewSignal(eng)
+			var wait func()
+			wait = func() { sig.WaitFunc(wait) }
+			wait()
+			ticker(eng, sig.Broadcast)
+		}},
+		{"pulse-func", func(eng *Engine) {
+			sig := NewSignal(eng)
+			var wait func()
+			wait = func() { sig.WaitFunc(wait) }
+			wait()
+			ticker(eng, sig.Pulse)
+		}},
+		{"semaphore-func", func(eng *Engine) {
+			sem := NewSemaphore(eng, 0)
+			var acquire func()
+			acquire = func() {
+				for sem.AcquireFunc(1, acquire) {
+				}
+			}
+			acquire()
+			ticker(eng, func() { sem.Release(1) })
+		}},
+		{"queue-func", func(eng *Engine) {
+			q := NewQueue[int](eng, "q", 1)
+			var get, put func()
+			get = func() {
+				for {
+					if _, ok := q.GetFunc(get); !ok {
+						return
+					}
+				}
+			}
+			put = func() {
+				if q.PutFunc(0, put) {
+					eng.After(Microsecond, put)
+				}
+			}
+			get()
+			eng.After(Microsecond, put)
+		}},
+		{"bytefifo-func", func(eng *Engine) {
+			f := NewByteFIFO(eng, "fifo", 64)
+			var get, put func()
+			get = func() {
+				for f.GetFunc(8, get) {
+				}
+			}
+			put = func() {
+				if f.PutFunc(8, put) {
+					eng.After(Microsecond, put)
+				}
+			}
+			get()
+			eng.After(Microsecond, put)
 		}},
 	}
 	for _, c := range cases {

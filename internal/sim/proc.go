@@ -8,7 +8,7 @@ import "fmt"
 // deterministic and need no locking.
 //
 // A proc may block with Sleep or on sync primitives (Signal, Semaphore,
-// Queue, ByteFIFO). A blocking proc runs the engine's event
+// Queue). A blocking proc runs the engine's event
 // loop itself (see Engine): it keeps executing events until one resumes
 // a proc, then continues at once when that proc is itself and otherwise
 // hands the loop to the resumed proc with one channel send.

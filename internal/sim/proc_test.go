@@ -341,25 +341,20 @@ func TestBlockedReasons(t *testing.T) {
 	in := NewQueue[int](e, "inq", 0)
 	full := NewQueue[int](e, "outq", 1)
 	full.TryPut(0)
-	fifo := NewByteFIFO(e, "txfifo", 64)
 	e.Go("acquirer", func(p *Proc) { sem.Acquire(p, 3) })
 	e.Go("getter", func(p *Proc) { in.Get(p) })
 	e.Go("putter", func(p *Proc) { full.Put(p, 1) })
-	e.Go("drainer", func(p *Proc) { fifo.Get(p, 8) })
-	e.Go("watcher", func(p *Proc) { fifo.WaitLevelBelow(p, 0) })
 	e.Go("parker", func(p *Proc) { p.Park("rx credits") })
 	e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
 	e.RunFor(Nanosecond)
 	e.Go("late", func(p *Proc) {})
 	want := []string{
 		"acquirer: sem.acquire(3)",
-		"drainer: txfifo.get",
 		"getter: inq.get",
 		"late: start",
 		"parker: rx credits",
 		"putter: outq.put",
 		"sleeper: sleep",
-		"watcher: txfifo.belowmark",
 	}
 	if got := e.Blocked(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Blocked() = %q\nwant %q", got, want)

@@ -2,13 +2,26 @@ package sim
 
 import "fmt"
 
-// Signal is a condition-variable-like primitive. Procs Wait on it; a
-// Broadcast wakes every current waiter (in FIFO order), a Pulse wakes only
-// the first. As with condition variables, waiters re-check their predicate
-// in a loop.
+// Signal is a condition-variable-like primitive. Procs Wait on it and
+// callbacks WaitFunc on it, in one FIFO; a Broadcast wakes every current
+// waiter (in FIFO order), a Pulse wakes only the first. As with condition
+// variables, waiters re-check their predicate in a loop.
 type Signal struct {
 	eng     *Engine
-	waiters fifo[*Proc]
+	waiters fifo[waiter]
+}
+
+// waiter is one entry of a wait FIFO: a blocked proc, or the callback a
+// waiting state machine resumes through.
+type waiter struct {
+	p  *Proc
+	fn func()
+}
+
+// wake schedules w at the current time: a proc wake or a callback event,
+// either way one counted event taking the engine's next sequence number.
+func (e *Engine) wake(w waiter) {
+	e.schedule(&event{t: e.now, proc: w.p, fn: w.fn})
 }
 
 // NewSignal returns a Signal bound to e.
@@ -19,8 +32,16 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 func (s *Signal) Wait(p *Proc, reason string) { s.wait(p, waitReason{what: reason}) }
 
 func (s *Signal) wait(p *Proc, why waitReason) {
-	s.waiters.push(p)
+	s.waiters.push(waiter{p: p})
 	p.block(why)
+}
+
+// WaitFunc is the callback form of Wait: fn joins the same FIFO as
+// blocked procs, and the Broadcast or Pulse that reaches it schedules fn
+// at that time, where it would have scheduled a proc's wake. fn runs
+// once; a callback that still finds its predicate false waits again.
+func (s *Signal) WaitFunc(fn func()) {
+	s.waiters.push(waiter{fn: fn})
 }
 
 // Broadcast wakes all current waiters in FIFO order. The wakes are
@@ -28,24 +49,25 @@ func (s *Signal) wait(p *Proc, why waitReason) {
 // with other same-time events.
 func (s *Signal) Broadcast() {
 	for s.waiters.len() > 0 {
-		s.eng.wakeAt(s.eng.now, s.waiters.pop())
+		s.eng.wake(s.waiters.pop())
 	}
 }
 
 // Pulse wakes only the first (oldest) waiter.
 func (s *Signal) Pulse() {
 	if s.waiters.len() > 0 {
-		s.eng.wakeAt(s.eng.now, s.waiters.pop())
+		s.eng.wake(s.waiters.pop())
 	}
 }
 
-// Waiting returns the number of procs currently waiting.
+// Waiting returns the number of procs and callbacks currently waiting.
 func (s *Signal) Waiting() int { return s.waiters.len() }
 
 // Semaphore is a counting semaphore with strict FIFO granting: a large
 // request at the head of the queue blocks later smaller ones, which keeps
 // resource handoff deterministic and starvation-free (this matters when
-// modeling DMA engines and firmware run queues).
+// modeling DMA engines and firmware run queues). Blocked procs and
+// waiting callbacks share the one queue.
 type Semaphore struct {
 	eng   *Engine
 	avail int64
@@ -53,7 +75,7 @@ type Semaphore struct {
 }
 
 type semWait struct {
-	p *Proc
+	w waiter
 	n int64
 }
 
@@ -68,20 +90,31 @@ func NewSemaphore(e *Engine, n int64) *Semaphore {
 // Acquire takes n units, blocking p until they are available and it is
 // p's turn (FIFO).
 func (s *Semaphore) Acquire(p *Proc, n int64) {
-	if n < 0 {
-		panic("sim: negative acquire")
-	}
-	if s.queue.len() == 0 && s.avail >= n {
-		s.avail -= n
+	if s.take(n) {
 		return
 	}
-	s.queue.push(semWait{p: p, n: n})
+	s.queue.push(semWait{w: waiter{p: p}, n: n})
 	p.block(waitReason{what: "sem.acquire", units: n, sem: true})
 }
 
-// TryAcquire takes n units without blocking; it reports whether it
-// succeeded. It fails when waiters are queued, preserving FIFO fairness.
-func (s *Semaphore) TryAcquire(n int64) bool {
+// AcquireFunc is the callback form of Acquire. It takes n units and
+// reports true when they are free and nobody is queued, so the caller
+// continues at once. Otherwise it queues fn behind the waiting procs and
+// callbacks and reports false; the grant schedules fn, already holding
+// the units, where it would have scheduled a proc's wake.
+func (s *Semaphore) AcquireFunc(n int64, fn func()) bool {
+	if s.take(n) {
+		return true
+	}
+	s.queue.push(semWait{w: waiter{fn: fn}, n: n})
+	return false
+}
+
+// take takes n units when they are free and nobody is queued.
+func (s *Semaphore) take(n int64) bool {
+	if n < 0 {
+		panic("sim: negative acquire")
+	}
 	if s.queue.len() == 0 && s.avail >= n {
 		s.avail -= n
 		return true
@@ -95,19 +128,17 @@ func (s *Semaphore) Release(n int64) {
 		panic("sim: negative release")
 	}
 	s.avail += n
-	s.drain()
-}
-
-func (s *Semaphore) drain() {
 	for s.queue.len() > 0 && s.queue.front().n <= s.avail {
 		w := s.queue.pop()
 		s.avail -= w.n
-		s.eng.wakeAt(s.eng.now, w.p)
+		s.eng.wake(w.w)
 	}
 }
 
 // Queue is a bounded FIFO of items with blocking Put/Get, modeling
-// hardware queues and mailboxes. A capacity of 0 means unbounded.
+// hardware queues and mailboxes. A capacity of 0 means unbounded. Procs
+// block in Put and Get; state machines use PutFunc and GetFunc, which
+// wait through the same signal.
 type Queue[T any] struct {
 	eng      *Engine
 	name     string
@@ -123,11 +154,20 @@ func NewQueue[T any](e *Engine, name string, capacity int) *Queue[T] {
 
 // Put appends v, blocking while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.capacity > 0 && q.items.len() >= q.capacity {
+	for !q.TryPut(v) {
 		q.changed.wait(p, waitReason{what: q.name, op: "put"})
 	}
-	q.items.push(v)
-	q.changed.Broadcast()
+}
+
+// PutFunc is the callback form of Put: it appends v and reports true when
+// there is room; otherwise fn waits for the queue's next change and
+// PutFunc reports false. fn runs once and retries.
+func (q *Queue[T]) PutFunc(v T, fn func()) bool {
+	if q.TryPut(v) {
+		return true
+	}
+	q.changed.WaitFunc(fn)
+	return false
 }
 
 // TryPut appends v if there is room, reporting success.
@@ -142,12 +182,23 @@ func (q *Queue[T]) TryPut(v T) bool {
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.items.len() == 0 {
+	for {
+		if v, ok := q.TryGet(); ok {
+			return v
+		}
 		q.changed.wait(p, waitReason{what: q.name, op: "get"})
 	}
-	v := q.items.pop()
-	q.changed.Broadcast()
-	return v
+}
+
+// GetFunc is the callback form of Get: it removes and returns the head
+// item when there is one; otherwise fn waits for the queue's next change
+// and GetFunc reports false. fn runs once and retries.
+func (q *Queue[T]) GetFunc(fn func()) (T, bool) {
+	v, ok := q.TryGet()
+	if !ok {
+		q.changed.WaitFunc(fn)
+	}
+	return v, ok
 }
 
 // TryGet removes and returns the head item if any.
@@ -165,8 +216,8 @@ func (q *Queue[T]) TryGet() (T, bool) {
 func (q *Queue[T]) Len() int { return q.items.len() }
 
 // ByteFIFO models a byte-granularity hardware FIFO (like the APEnet+
-// 32 KB TX FIFO) with blocking producers/consumers and level thresholds
-// for flow-control logic (almost-full / almost-empty watermarks).
+// 32 KB TX FIFO) between two state machines: a producer that stalls while
+// its bytes do not fit and a consumer that stalls until they are there.
 type ByteFIFO struct {
 	eng      *Engine
 	name     string
@@ -183,53 +234,37 @@ func NewByteFIFO(e *Engine, name string, capacity int64) *ByteFIFO {
 	return &ByteFIFO{eng: e, name: name, capacity: capacity, changed: NewSignal(e)}
 }
 
-// Put inserts n bytes, blocking until there is room for all of them.
-func (f *ByteFIFO) Put(p *Proc, n int64) {
+// PutFunc inserts n bytes and reports true when there is room for all of
+// them; otherwise fn waits for the FIFO's next change and PutFunc reports
+// false. fn runs once and retries.
+func (f *ByteFIFO) PutFunc(n int64, fn func()) bool {
 	if n > f.capacity {
 		panic(fmt.Sprintf("sim: %s: put %d exceeds capacity %d", f.name, n, f.capacity))
 	}
-	for f.level+n > f.capacity {
-		f.changed.wait(p, waitReason{what: f.name, op: "put"})
+	if f.level+n > f.capacity {
+		f.changed.WaitFunc(fn)
+		return false
 	}
 	f.level += n
 	f.changed.Broadcast()
+	return true
 }
 
-// Get removes n bytes, blocking until they are present.
-func (f *ByteFIFO) Get(p *Proc, n int64) {
-	for f.level < n {
-		f.changed.wait(p, waitReason{what: f.name, op: "get"})
+// GetFunc removes n bytes and reports true when they are present;
+// otherwise fn waits for the FIFO's next change and GetFunc reports
+// false. fn runs once and retries.
+func (f *ByteFIFO) GetFunc(n int64, fn func()) bool {
+	if f.level < n {
+		f.changed.WaitFunc(fn)
+		return false
 	}
 	f.level -= n
 	f.changed.Broadcast()
-}
-
-// GetUpTo removes up to max bytes (at least 1), blocking while empty.
-func (f *ByteFIFO) GetUpTo(p *Proc, max int64) int64 {
-	for f.level == 0 {
-		f.changed.wait(p, waitReason{what: f.name, op: "get"})
-	}
-	n := f.level
-	if n > max {
-		n = max
-	}
-	f.level -= n
-	f.changed.Broadcast()
-	return n
-}
-
-// WaitLevelBelow blocks until the fill level drops below mark.
-func (f *ByteFIFO) WaitLevelBelow(p *Proc, mark int64) {
-	for f.level >= mark {
-		f.changed.wait(p, waitReason{what: f.name, op: "belowmark"})
-	}
+	return true
 }
 
 // Level returns the current fill level in bytes.
 func (f *ByteFIFO) Level() int64 { return f.level }
-
-// Free returns the remaining space in bytes.
-func (f *ByteFIFO) Free() int64 { return f.capacity - f.level }
 
 // fifo is a slice-backed FIFO that keeps its backing array: pop advances
 // a head index and rewinds to the start once the FIFO empties, and push

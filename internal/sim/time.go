@@ -7,11 +7,15 @@
 //   - Procs: lightweight coroutine processes (one goroutine each, but with
 //     strict alternation so exactly one goroutine runs at a time: the
 //     driver of the event loop or the proc holding it). Procs model
-//     hardware engines and firmware loops and may block on time (Sleep)
-//     or on synchronization objects.
+//     application code — rank bodies and the libraries they call — and
+//     may block on time (Sleep) or on synchronization objects. Hardware
+//     engines are event-driven state machines instead: plain callbacks
+//     that wait on the same objects without a goroutine.
 //   - Synchronization primitives with FIFO fairness: Signal, Semaphore,
 //     Queue and ByteFIFO. These model mailboxes, FIFOs with backpressure,
 //     and serial servers (a one-unit Semaphore: DMA engines, processors).
+//     Blocked procs and waiting callbacks share one FIFO per primitive;
+//     waking either is one event at the current time.
 //
 // Simulated time has picosecond resolution, which keeps bandwidth/latency
 // arithmetic exact enough for PCIe-level modeling (an 80 ns request cadence,
