@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"apenetsim/internal/gpu"
 	"apenetsim/internal/nios"
 	"apenetsim/internal/pcie"
 	"apenetsim/internal/sim"
@@ -79,9 +80,12 @@ type Card struct {
 	txDrained *sim.Signal
 	txWindow  *sim.Semaphore
 
-	hostReader *pcie.Reader
-	switchCh   *pcie.Channel // flush-mode drain
-	loopCh     *pcie.Channel // local injection->extraction port
+	// hostReader and bar1Readers (one per source GPU, built on first
+	// use) are the TX read engines, kept across jobs.
+	hostReader  *pcie.Reader
+	bar1Readers map[*gpu.Device]*pcie.Reader
+	switchCh    *pcie.Channel // flush-mode drain
+	loopCh      *pcie.Channel // local injection->extraction port
 
 	// ledger is the link-level flow control pool: senders take a credit
 	// per packet before injecting toward this card and the RX engine
@@ -345,151 +349,6 @@ func (c *Card) packetize(job *TXJob) []Packet {
 		pkts[seq] = Packet{Job: job, Seq: seq, Bytes: sz, Last: remaining == 0}
 	}
 	return pkts
-}
-
-// txEngine is the TX dispatcher: a single dispatcher models the card's
-// single TX context, so jobs serialize while packets within a job
-// pipeline. It holds the job in flight, its packets and how far the
-// fetch engine serving it has got.
-type txEngine struct {
-	state txState
-	job   *TXJob
-	pkts  []Packet
-	// next indexes the packet being fetched; outstanding counts issued
-	// fetches whose data has not landed (host, v3, BAR1).
-	next        int
-	outstanding int
-	// cursor is the GPU request generator's clock (v2, v3); batchBytes
-	// and batchLast are the v2 refill batch's volume and landing time.
-	cursor     sim.Time
-	batchBytes units.ByteSize
-	batchLast  sim.Time
-	bar1       *pcie.Reader // the BAR1 job's read engine
-	nios       *nios.Slot
-	run        func() // stepTX, bound once in Start
-}
-
-// txState names the TX dispatcher's next step.
-type txState uint8
-
-const (
-	txGetJob     txState = iota // take and dispatch the next job
-	txControl                   // control message: FIFO space, inject
-	txHostDriver                // host: per-descriptor driver work
-	txHostFIFO                  // host: FIFO space, issue the read
-	txDrain                     // host, BAR1: wait for the job's data
-	txGPUVersion                // GPU: setup done, start the fetch loop
-	txV1Request                 // v1: firmware request generation
-	txV1Fetch                   // v1: FIFO space, fetch
-	txV1Inject                  // v1: data landed, inject
-	txV2Refill                  // v2: firmware kicks a refill
-	txV2Packet                  // v2: next packet of the batch
-	txV2Fetch                   // v2: FIFO space, fetch
-	txV3Window                  // v3: window credit
-	txV3Fetch                   // v3: FIFO space, fetch
-	txV3Drain                   // v3: wait for the job's data
-	txRearm                     // GPU: engine retire/re-arm
-	txBar1Fetch                 // BAR1: FIFO space, issue the read
-)
-
-// stepTX runs the TX dispatcher until it has to wait; whatever ends the
-// wait calls it again. Control messages (GET requests and error replies)
-// carry card-built descriptors, not memory, so they skip the read
-// engines; GET data replies are ordinary host/GPU reads.
-func (c *Card) stepTX() {
-	for c.txStep() {
-	}
-}
-
-// txStep takes one step of the TX dispatcher and reports whether it may
-// take the next at once.
-func (c *Card) txStep() bool {
-	switch c.tx.state {
-	case txGetJob:
-		return c.txDispatch()
-	case txControl:
-		return c.txControl()
-	case txHostDriver, txHostFIFO:
-		return c.txHost()
-	case txBar1Fetch:
-		return c.txGPUBar1()
-	case txDrain:
-		return c.txFetched() && c.txJobDone()
-	default:
-		return c.txGPU()
-	}
-}
-
-// txDispatch takes the next job from the TX queue and routes it to its
-// fetch path.
-func (c *Card) txDispatch() bool {
-	tx := &c.tx
-	job, ok := c.txq.GetFunc(tx.run)
-	if !ok {
-		return false
-	}
-	if job.enqueued > 0 && c.Rec.Stages() {
-		c.stage(job.enqueued, c.Eng.Now(), "txq", job, job.Bytes, "leg="+job.Kind.String())
-	}
-	tx.job, tx.pkts, tx.next = job, c.packetize(job), 0
-	switch {
-	case job.Kind == JobGetRequest || job.Kind == JobGetError:
-		tx.state = txControl
-	case job.SrcKind == HostMem:
-		tx.state = txHostDriver
-	case c.Cfg.GPUTXMethod == MethodBAR1:
-		tx.bar1 = job.SrcGPU.BAR1Reader(c.Fab, c.PCI)
-		tx.state = txBar1Fetch
-	default:
-		// Per-message firmware setup: map the buffer context, program
-		// the engine.
-		tx.state = txGPUVersion
-		return c.Nios.Exec(tx.nios, "GPU_P2P_TX", c.Cfg.TXMsgSetupGPU, tx.run)
-	}
-	return true
-}
-
-// txControl pushes a control message (its payload is a descriptor the
-// card already holds, nothing is fetched from memory) into the injector,
-// one packet per step.
-func (c *Card) txControl() bool {
-	tx := &c.tx
-	if tx.next == len(tx.pkts) {
-		return c.txJobDone()
-	}
-	pkt := &tx.pkts[tx.next]
-	if !c.txFIFO.PutFunc(int64(c.wireSize(pkt)), tx.run) {
-		return false
-	}
-	c.injectQ.TryPut(pkt)
-	tx.next++
-	return true
-}
-
-// txFetched reports whether the job's data has all landed; otherwise the
-// dispatcher waits for the last fetch, held in the TX context so jobs
-// stay ordered on the wire.
-func (c *Card) txFetched() bool {
-	if c.tx.outstanding == 0 {
-		return true
-	}
-	c.txDrained.WaitFunc(c.tx.run)
-	return false
-}
-
-// txLanded accounts one fetch of the job landing in the TX FIFO.
-func (c *Card) txLanded() {
-	c.tx.outstanding--
-	if c.tx.outstanding == 0 {
-		c.txDrained.Broadcast()
-	}
-}
-
-// txJobDone ends the job: the dispatcher takes the next one.
-func (c *Card) txJobDone() bool {
-	c.tx.job, c.tx.pkts, c.tx.bar1 = nil, nil, nil
-	c.tx.state = txGetJob
-	return true
 }
 
 // waitUntil is a state machine's SleepUntil: it reports true when t is

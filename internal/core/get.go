@@ -253,13 +253,15 @@ func (c *Card) stepGetResponder() {
 	}
 }
 
-// failRemoteGet fails the requester's outstanding entry directly. One
-// engine serializes all cards (cf. rxWireLoss), so this is the
-// simulation's stand-in for the requester-side timeout a real card would
-// need when the fabric swallows a request or reply.
+// failRemoteGet fails the requester's outstanding entry from this card:
+// the simulation's stand-in for the requester-side timeout a real card
+// would need when the fabric swallows a request or reply. Like the loss
+// tail it runs through onCard, so on a sharded torus the failure is
+// posted to the requester's shard instead of editing its state from
+// this one.
 func (c *Card) failRemoteGet(m *getMeta, reason string) {
 	if rc := c.Net.Card(m.requester); rc != nil {
-		rc.finishGet(m.reqID, 0, reason)
+		onCard(c, rc, c.Eng.Now(), func() { rc.finishGet(m.reqID, 0, reason) })
 	}
 }
 

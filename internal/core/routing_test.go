@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -296,30 +297,38 @@ func TestMidRouteDeadEndDrainsDamagedJob(t *testing.T) {
 	}
 }
 
+// deadLinkRing builds an 8x1x1 torus under the dimension-ordered router,
+// serial or split into shards per-slab engines, with the link out of
+// rank 4 toward rank 5 down: traffic from rank 2 to rank 5 travels
+// 2 -> 3 -> 4 and dies there, past the slab boundary of a 2-shard group.
+func deadLinkRing(t *testing.T, shards int) (*sim.Engine, *cluster.Cluster) {
+	t.Helper()
+	eng := sim.New()
+	cfg := core.DefaultConfig()
+	dims := torus.Dims{X: 8, Y: 1, Z: 1}
+	engOf := func(i int) *sim.Engine { return eng }
+	if shards > 1 {
+		g := sim.NewGroup(eng, shards, cfg.HopLatency)
+		engOf = func(i int) *sim.Engine { return g.Engine(i * shards / dims.X) }
+	}
+	cl, err := cluster.New(eng, nil, dims, dims.X, func(i int) cluster.NodeConfig {
+		return cluster.NodeConfig{Card: &cfg, Eng: engOf(i)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Net.SetLinkState(core.LinkID{Coord: torus.Coord{X: 4}, Dir: torus.XPlus}, false)
+	return eng, cl
+}
+
 // A mid-route dead end on a sharded torus accounts the loss on both
 // ends across shard boundaries — the source card's counters on its
 // shard, the destination's credit and drain on its own — exactly like
 // the serial engine.
 func TestMidRouteDeadEndAcrossShards(t *testing.T) {
 	run := func(shards int) (src, dst core.CardStats, pending int) {
-		eng := sim.New()
+		eng, cl := deadLinkRing(t, shards)
 		defer eng.Shutdown()
-		cfg := core.DefaultConfig()
-		dims := torus.Dims{X: 8, Y: 1, Z: 1}
-		engOf := func(i int) *sim.Engine { return eng }
-		if shards > 1 {
-			g := sim.NewGroup(eng, shards, cfg.HopLatency)
-			engOf = func(i int) *sim.Engine { return g.Engine(i * shards / dims.X) }
-		}
-		cl, err := cluster.New(eng, nil, dims, dims.X, func(i int) cluster.NodeConfig {
-			return cluster.NodeConfig{Card: &cfg, Eng: engOf(i)}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rank 2 sends to rank 5 along 2 -> 3 -> 4 -> 5; the cut link out
-		// of rank 4 is past the slab boundary of a 2-shard group.
-		cl.Net.SetLinkState(core.LinkID{Coord: torus.Coord{X: 4}, Dir: torus.XPlus}, false)
 		srcCard, dstCard := cl.Nodes[2].Card, cl.Nodes[5].Card
 		srcEP, dstEP := rdma.NewEndpoint(srcCard), rdma.NewEndpoint(dstCard)
 		var srcBuf, dstBuf *rdma.Buffer
@@ -353,6 +362,74 @@ func TestMidRouteDeadEndAcrossShards(t *testing.T) {
 	if src2 != src1 || dst2 != dst1 || pend2 != pend1 {
 		t.Fatalf("2 shards differ from serial:\nsrc %+v\n    %+v\ndst %+v\n    %+v",
 			src2, src1, dst2, dst1)
+	}
+}
+
+// A GET request lost mid-route fails the requester's outstanding entry
+// from the responder's side of the torus; on a sharded torus the failure
+// must reach the requester's shard as a post, not edit its state from
+// another worker (go test -race reports that as a data race).
+func TestLostGetRequestAcrossShards(t *testing.T) {
+	const gets = 8
+	run := func(shards int) []core.CardStats {
+		eng, cl := deadLinkRing(t, shards)
+		defer eng.Shutdown()
+		reqCard, rspCard := cl.Nodes[2].Card, cl.Nodes[5].Card
+		reqEP, rspEP := rdma.NewEndpoint(reqCard), rdma.NewEndpoint(rspCard)
+		var local, remote *rdma.Buffer
+		rspCard.Eng.Go("remote-setup", func(p *sim.Proc) {
+			var err error
+			if remote, err = rspEP.NewHostBuffer(p, 64*units.KB); err != nil {
+				t.Error(err)
+			}
+		})
+		eng.Run()
+		reqCard.Eng.Go("get", func(p *sim.Proc) {
+			var err error
+			if local, err = reqEP.NewHostBuffer(p, 64*units.KB); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < gets; i++ {
+				if _, err := reqEP.GetBuffer(p, 5, remote, local, 4*units.KB, rdma.GetFlags{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for i := 0; i < gets; i++ {
+				if c := reqEP.WaitGet(p); c.Err == "" {
+					t.Errorf("%d shards: GET %d completed without error: %+v", shards, c.JobID, c)
+				}
+			}
+		})
+		eng.Run()
+		stats := make([]core.CardStats, len(cl.Nodes))
+		for i := range stats {
+			stats[i] = cl.Nodes[i].Card.Stats()
+		}
+		return stats
+	}
+	serial := run(1)
+	if st := serial[2]; st.GetRequests != gets || st.GetErrors != gets || st.UnroutablePackets != gets {
+		t.Fatalf("serial: requester %+v, want %d requests, all lost and failed", st, gets)
+	}
+	two := run(2)
+	for _, shards := range []int{2, 4} {
+		got := two
+		if shards == 4 {
+			if got = run(4); !reflect.DeepEqual(got, two) {
+				t.Fatalf("4 shards differ from 2:\n%+v\n%+v", got, two)
+			}
+		}
+		// The failure reaches the requester one barrier later in a group,
+		// so its table can hold one more request at its peak — the same
+		// retroactive grant that moves credit-contended runs — but no
+		// other count moves.
+		want := append([]core.CardStats(nil), serial...)
+		want[2].OutstandingGetsPeak = got[2].OutstandingGetsPeak
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards differ from serial beyond the requester's peak:\n%+v\n%+v", shards, got, serial)
+		}
 	}
 }
 

@@ -150,17 +150,11 @@ func TestP2PServeReadSerializesAcrossRequests(t *testing.T) {
 func TestBAR1FermiVsKepler(t *testing.T) {
 	measure := func(spec Spec) units.Bandwidth {
 		eng, fab, g, nic := testRig(spec)
-		rd := g.BAR1Reader(fab, nic)
-		var bw units.Bandwidth
-		eng.Go("rd", func(p *sim.Proc) {
-			const n = 2 * units.MB
-			start := p.Now()
-			rd.Read(p, n)
-			g.CountBAR1Read(n)
-			bw = units.Rate(n, p.Now().Sub(start))
-		})
+		const n = 2 * units.MB
+		var last sim.Time
+		g.BAR1Reader(fab, nic).ReadFunc(n, func(t sim.Time) { last = t }, func() {})
 		eng.Run()
-		return bw
+		return units.Rate(n, sim.Duration(last))
 	}
 	fermi := measure(Fermi2050())
 	kepler := measure(KeplerK20())

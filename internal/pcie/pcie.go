@@ -625,23 +625,3 @@ func (r *Reader) ReadAsync(p *sim.Proc, n units.ByteSize, onDone func(last sim.T
 	r.parked = p
 	p.Park("pcie.read.tags")
 }
-
-// Read fetches n bytes, blocking p until the last completion arrives.
-func (r *Reader) Read(p *sim.Proc, n units.ByteSize) {
-	if n <= 0 {
-		return
-	}
-	eng := r.fab.Eng
-	done := false
-	var doneAt sim.Time
-	sig := sim.NewSignal(eng)
-	r.ReadAsync(p, n, func(last sim.Time) {
-		done = true
-		doneAt = last
-		sig.Broadcast()
-	})
-	for !done {
-		sig.Wait(p, "pcie.read.drain")
-	}
-	p.SleepUntil(doneAt)
-}

@@ -139,6 +139,15 @@ func TestSharedUplinkContention(t *testing.T) {
 	}
 }
 
+// readTime starts one n-byte read at time 0 and returns the time its
+// last completion lands.
+func readTime(eng *sim.Engine, rd *Reader, n units.ByteSize) sim.Duration {
+	var last sim.Time
+	rd.ReadFunc(n, func(t sim.Time) { last = t }, func() {})
+	eng.Run()
+	return sim.Duration(last)
+}
+
 func TestReaderClosedLoopBandwidth(t *testing.T) {
 	// A DMA engine with 8 outstanding 512 B reads against a target with
 	// 600 ns completion latency: BW = T*chunk/(RTT) capped by the link.
@@ -147,14 +156,7 @@ func TestReaderClosedLoopBandwidth(t *testing.T) {
 	nic := f.Attach("nic", f.Root(), Gen2x8, 150*sim.Nanosecond)
 	f.Root().CompletionLatency = 600 * sim.Nanosecond
 	rd := f.NewReader(nic, f.Root(), 8, 512)
-	var got units.Bandwidth
-	eng.Go("dma", func(p *sim.Proc) {
-		start := p.Now()
-		const n = 4 * units.MB
-		rd.Read(p, n)
-		got = units.Rate(n, p.Now().Sub(start))
-	})
-	eng.Run()
+	got := units.Rate(4*units.MB, readTime(eng, rd, 4*units.MB))
 	if got < 1500*units.MBps || got > 3800*units.MBps {
 		t.Fatalf("closed-loop read bw = %v, want between 1.5 and 3.8 GB/s", got)
 	}
@@ -164,14 +166,7 @@ func TestReaderClosedLoopBandwidth(t *testing.T) {
 	nic2 := f2.Attach("nic", f2.Root(), Gen2x8, 150*sim.Nanosecond)
 	f2.Root().CompletionLatency = 600 * sim.Nanosecond
 	rd2 := f2.NewReader(nic2, f2.Root(), 1, 512)
-	var got2 units.Bandwidth
-	eng2.Go("dma", func(p *sim.Proc) {
-		start := p.Now()
-		const n = 1 * units.MB
-		rd2.Read(p, n)
-		got2 = units.Rate(n, p.Now().Sub(start))
-	})
-	eng2.Run()
+	got2 := units.Rate(1*units.MB, readTime(eng2, rd2, 1*units.MB))
 	if got2 >= got {
 		t.Fatalf("1 tag (%v) should be slower than 8 tags (%v)", got2, got)
 	}

@@ -63,7 +63,10 @@ func TestRateInvertsTransferTime(t *testing.T) {
 		b := Bandwidth(float64(mbps)+1) * MBps
 		d := TransferTime(n, b)
 		got := Rate(n, d)
-		return math.Abs(float64(got)-float64(b))/float64(b) < 1e-6
+		// TransferTime rounds to whole picoseconds, the simulator's clock,
+		// so the rate comes back to within half a picosecond over the
+		// transfer time, plus float slack.
+		return math.Abs(float64(got)-float64(b))/float64(b) <= 0.5/float64(d)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
