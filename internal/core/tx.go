@@ -32,10 +32,12 @@ type txEngine struct {
 	next        int
 	outstanding int
 	// reader is the host or BAR1 job's read engine. cursor is the GPU
-	// request generator's clock (v2, v3); batchBytes and batchLast are
-	// the v2 refill batch's volume and landing time.
+	// request generator's clock (v2, v3), and reqTimes holds the times of
+	// a packet's request train; batchBytes and batchLast are the v2
+	// refill batch's volume and landing time.
 	reader     *pcie.Reader
 	cursor     sim.Time
+	reqTimes   []sim.Time
 	batchBytes units.ByteSize
 	batchLast  sim.Time
 	nios       *nios.Slot
@@ -232,7 +234,8 @@ func (c *Card) txFetch(pkt *Packet) bool {
 		// has landed.
 		src := tx.job.SrcGPU
 		_, reqArr := c.Fab.Path(c.PCI, src.PCI).SendRaw(c.Eng.Now(), c.Cfg.ReadReqTLP)
-		_, last := src.P2PServeRead(reqArr, pkt.Bytes, c.Fab.Path(src.PCI, c.PCI))
+		at := [1]sim.Time{reqArr}
+		last := src.P2PServeTrain(at[:], pkt.Bytes, pkt.Bytes, c.Fab.Path(src.PCI, c.PCI))
 		tx.state = txLand
 		return c.waitUntil(last, tx.run)
 	case fetchV2:
@@ -274,28 +277,29 @@ func (c *Card) txLanded(pkt *Packet) {
 // the TX FIFO. The GPU responder serializes the requests on its internal
 // read pipe.
 func (c *Card) fetchAt(n units.ByteSize) (last sim.Time) {
-	src, cursor := c.tx.job.SrcGPU, &c.tx.cursor
-	reqPath := c.Fab.Path(c.PCI, src.PCI)
-	respPath := c.Fab.Path(src.PCI, c.PCI)
-	if now := c.Eng.Now(); *cursor < now {
-		*cursor = now
+	tx, src := &c.tx, c.tx.job.SrcGPU
+	if now := c.Eng.Now(); tx.cursor < now {
+		tx.cursor = now
 	}
-	var sent units.ByteSize
-	k := 0
-	for sent < n {
-		sz := c.Cfg.ReadReqBytes
-		if sz > n-sent {
-			sz = n - sent
-		}
-		sent += sz
-		_, reqArr := reqPath.SendRaw(*cursor, c.Cfg.ReadReqTLP)
-		*cursor = cursor.Add(c.Cfg.ReadReqEvery)
-		_, arr := src.P2PServeRead(reqArr, sz, respPath)
-		if arr > last {
-			last = arr
-		}
-		k++
+	k := int((n + c.Cfg.ReadReqBytes - 1) / c.Cfg.ReadReqBytes)
+	if cap(tx.reqTimes) < k {
+		tx.reqTimes = make([]sim.Time, k)
 	}
+	at := tx.reqTimes[:k]
+	for i := range at {
+		at[i] = tx.cursor
+		tx.cursor = tx.cursor.Add(c.Cfg.ReadReqEvery)
+	}
+	// The whole request train is booked on the card -> GPU path before
+	// the GPU serves it and its response train is booked on the GPU ->
+	// card path: each channel gets the bookings a request-by-request loop
+	// would give it, in the same order, because no time passes here and
+	// the two paths share no channel. A PCIe path climbs the up channels
+	// on its source's side and descends the down channels on its
+	// destination's side, so requests and responses use opposite
+	// directions of every full-duplex link they cross.
+	c.Fab.Path(c.PCI, src.PCI).SendRawTrain(at, c.Cfg.ReadReqTLP)
+	last = src.P2PServeTrain(at, n, c.Cfg.ReadReqBytes, c.Fab.Path(src.PCI, c.PCI))
 	if c.Rec.Enabled() {
 		c.Rec.Emit(last, c.Name+".gputx", "fetch_done", int64(n), fmt.Sprintf("%d requests", k))
 	}

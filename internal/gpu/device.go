@@ -21,9 +21,8 @@ type Device struct {
 	Mem *Allocator
 
 	// P2P read responder state: a serial internal read pipe running at
-	// Spec.P2PResponseRate. busyUntil is its reservation horizon.
+	// Spec.P2PResponseRate. respBusyUntil is its reservation horizon.
 	respBusyUntil sim.Time
-	respBytes     int64
 
 	// BAR1 state.
 	bar1Mapped units.ByteSize
@@ -65,31 +64,73 @@ func (d *Device) Statistics() Stats { return d.stats }
 
 // --- P2P read protocol (GPUDirect peer-to-peer) ---------------------------
 
-// P2PServeRead is invoked at the simulated instant a read descriptor
-// (mailbox write) lands on the GPU. It books n bytes of device-memory
-// fetch on the internal read pipe and streams the response back to the
-// initiator over respPath as posted writes. It returns the arrival times
-// of the first and last response byte at the initiator.
+// P2PServeTrain serves a train of read descriptors (mailbox writes):
+// request i lands on the GPU at at[i], and the train reads n bytes in
+// requests of per bytes, the last request taking what remains. The
+// internal read pipe fetches the requests in order, each response streams
+// back to the initiator over respPath as posted writes, and at[i] is left
+// holding the arrival of request i's last response byte at the initiator.
+// It returns the latest of those arrivals.
 //
 // The model captures the two properties the paper measures: a fixed
 // request-to-first-data head latency (~1.8 µs on Fermi) and a sustained
 // response rate (~1536 MB/s on Fermi) well below the PCIe link rate —
 // the GPU memory subsystem is optimized for throughput from the SM side,
 // not for external latency (§V.A).
-func (d *Device) P2PServeRead(reqArrival sim.Time, n units.ByteSize, respPath *pcie.Path) (first, last sim.Time) {
-	if n <= 0 {
-		return reqArrival, reqArrival
+func (d *Device) P2PServeTrain(at []sim.Time, n, per units.ByteSize, respPath *pcie.Path) (last sim.Time) {
+	k := len(at) - 1
+	tail := n - units.ByteSize(k)*per
+	if tail <= 0 || tail > per {
+		panic(fmt.Sprintf("gpu: %d requests of %v do not read %v", len(at), per, n))
 	}
-	start := reqArrival
-	if d.respBusyUntil > start {
-		start = d.respBusyUntil
+	rate, chunk := d.Spec.P2PResponseRate, d.Spec.P2PRespChunk
+	// A response that fits one write burst is ready to leave once its
+	// whole request is fetched; a longer one streams chunk by chunk.
+	oneBurst := per <= chunk
+	fetch := units.TransferTime(per, rate)
+	tailFetch := fetch
+	if tail != per {
+		tailFetch = units.TransferTime(tail, rate)
 	}
-	fetchEnd := start.Add(units.TransferTime(n, d.Spec.P2PResponseRate))
-	d.respBusyUntil = fetchEnd
-	d.stats.P2PReadRequests++
+	for i, t := range at {
+		f := fetch
+		if i == k {
+			f = tailFetch
+		}
+		start := t
+		if d.respBusyUntil > start {
+			start = d.respBusyUntil
+		}
+		d.respBusyUntil = start.Add(f)
+		// Data leaves the GPU one pipe-latency after each piece is fetched.
+		at[i] = start.Add(d.Spec.P2PReadHeadLatency)
+		if oneBurst {
+			at[i] = at[i].Add(f)
+		}
+	}
+	d.stats.P2PReadRequests += int64(len(at))
 	d.stats.P2PReadBytes += int64(n)
-	// Data leaves the GPU one pipe-latency after each piece is fetched.
-	return respPath.Stream(start.Add(d.Spec.P2PReadHeadLatency), n, d.Spec.P2PResponseRate, d.Spec.P2PRespChunk)
+	switch {
+	case oneBurst && tail == per:
+		respPath.SendTrain(at, per)
+	case oneBurst:
+		respPath.SendTrain(at[:k], per)
+		respPath.SendTrain(at[k:], tail)
+	default:
+		for i, t := range at {
+			sz := per
+			if i == k {
+				sz = tail
+			}
+			_, at[i] = respPath.Stream(t, sz, rate, chunk)
+		}
+	}
+	for _, t := range at {
+		if t > last {
+			last = t
+		}
+	}
+	return last
 }
 
 // P2PWriteCost returns the extra per-packet receive cost of writing n

@@ -103,13 +103,20 @@ func TestAllocatorNoOverlapProperty(t *testing.T) {
 	}
 }
 
+// serveOne serves one read request of n bytes landing at t and returns
+// when its last response byte arrives.
+func serveOne(g *Device, t sim.Time, n units.ByteSize, resp *pcie.Path) sim.Time {
+	return g.P2PServeTrain([]sim.Time{t}, n, n, resp)
+}
+
 // The P2P responder must deliver first data one head-latency after an
 // unloaded request, and sustain the spec response rate for back-to-back
 // requests — the two constants the paper's Fig 3 reports.
 func TestP2PReadHeadLatencyAndRate(t *testing.T) {
 	_, fab, g, nic := testRig(Fermi2050())
 	resp := fab.Path(g.PCI, nic)
-	first, _ := g.P2PServeRead(0, g.Spec.P2PReqSize, resp)
+	// One request's response is one write burst: its first data is its last.
+	first := serveOne(g, 0, g.Spec.P2PReqSize, resp)
 	// first arrival ≈ head latency + chunk fetch + wire + path.
 	lo := g.Spec.P2PReadHeadLatency
 	hi := lo + sim.Microsecond
@@ -123,7 +130,7 @@ func TestP2PReadHeadLatencyAndRate(t *testing.T) {
 	var last sim.Time
 	total := units.ByteSize(4 * units.MB)
 	for off := units.ByteSize(0); off < total; off += 128 {
-		_, last = g2.P2PServeRead(0, 128, resp2)
+		last = serveOne(g2, 0, 128, resp2)
 	}
 	bw := units.Rate(total, sim.Duration(last))
 	want := float64(g2.Spec.P2PResponseRate)
@@ -135,8 +142,8 @@ func TestP2PReadHeadLatencyAndRate(t *testing.T) {
 func TestP2PServeReadSerializesAcrossRequests(t *testing.T) {
 	_, fab, g, nic := testRig(Fermi2050())
 	resp := fab.Path(g.PCI, nic)
-	_, last1 := g.P2PServeRead(0, 64*units.KB, resp)
-	_, last2 := g.P2PServeRead(0, 64*units.KB, resp)
+	last1 := serveOne(g, 0, 64*units.KB, resp)
+	last2 := serveOne(g, 0, 64*units.KB, resp)
 	if last2 <= last1 {
 		t.Fatal("second read did not queue behind first")
 	}
@@ -223,5 +230,79 @@ func TestSpecPresets(t *testing.T) {
 	}
 	if KeplerK20().Arch.String() != "Kepler" || Fermi2050().Arch.String() != "Fermi" {
 		t.Fatal("arch strings")
+	}
+}
+
+// refServeRead is the per-request P2PServeRead that request trains
+// replaced, kept verbatim as an executable specification: serving a
+// train must leave every response arrival, the read pipe's horizon and
+// the P2P stats where this loop, called once per request in order, leaves
+// them.
+func (d *Device) refServeRead(reqArrival sim.Time, n units.ByteSize, respPath *pcie.Path) (first, last sim.Time) {
+	if n <= 0 {
+		return reqArrival, reqArrival
+	}
+	start := reqArrival
+	if d.respBusyUntil > start {
+		start = d.respBusyUntil
+	}
+	fetchEnd := start.Add(units.TransferTime(n, d.Spec.P2PResponseRate))
+	d.respBusyUntil = fetchEnd
+	d.stats.P2PReadRequests++
+	d.stats.P2PReadBytes += int64(n)
+	// Data leaves the GPU one pipe-latency after each piece is fetched.
+	return respPath.Stream(start.Add(d.Spec.P2PReadHeadLatency), n, d.Spec.P2PResponseRate, d.Spec.P2PRespChunk)
+}
+
+// Two back-to-back request trains, the second landing while the read pipe
+// still serves the first, must match refServeRead request by request:
+// with a full and a partial last request, and with requests that fit one
+// response burst (the hardware generator's) and ones that stream several
+// (GPU_P2P_TX v1's one request per packet).
+func TestP2PServeTrainMatchesPerRequestServe(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n, per units.ByteSize
+	}{
+		{"full-last", 4096, 128},
+		{"partial-last", 4000, 128},
+		{"one-short-request", 100, 128},
+		{"multi-burst", 4000, 512},
+		{"one-packet", 4000, 4000},
+	} {
+		_, fab, g, nic := testRig(Fermi2050())
+		_, refFab, ref, refNIC := testRig(Fermi2050())
+		resp, refResp := fab.Path(g.PCI, nic), refFab.Path(ref.PCI, refNIC)
+		k := int((tc.n + tc.per - 1) / tc.per)
+		for train, t0 := range []sim.Time{0, sim.Time(sim.Microsecond)} {
+			at := make([]sim.Time, k)
+			for i := range at {
+				at[i] = t0.Add(sim.Duration(i) * 80 * sim.Nanosecond)
+			}
+			var want sim.Time
+			wants := make([]sim.Time, k)
+			for i, t := range at {
+				sz := tc.per
+				if i == k-1 {
+					sz = tc.n - units.ByteSize(k-1)*tc.per
+				}
+				_, wants[i] = ref.refServeRead(t, sz, refResp)
+				if wants[i] > want {
+					want = wants[i]
+				}
+			}
+			if last := g.P2PServeTrain(at, tc.n, tc.per, resp); last != want {
+				t.Errorf("%s train %d: last response byte at %v, reference %v", tc.name, train, last, want)
+			}
+			for i := range at {
+				if at[i] != wants[i] {
+					t.Errorf("%s train %d: request %d answered by %v, reference %v", tc.name, train, i, at[i], wants[i])
+				}
+			}
+			if g.respBusyUntil != ref.respBusyUntil || g.Statistics() != ref.Statistics() {
+				t.Errorf("%s train %d: read pipe busy until %v, stats %+v; reference %v, %+v",
+					tc.name, train, g.respBusyUntil, g.Statistics(), ref.respBusyUntil, ref.Statistics())
+			}
+		}
 	}
 }

@@ -18,6 +18,12 @@ import (
 //
 // random-insert scatters reservations over a wide window, forcing mid-
 // calendar insertion shifts — the worst case the binary search bounds.
+//
+// train books, per op, a GPU P2P request train at the tail: 32 read
+// request TLPs of 32 raw bytes paced 80 ns apart, the train a v2/v3 card
+// books per 4 KB packet, each train continuing the last one's pacing. The
+// clock moves to each train's first request, so the calendar holds about
+// one train, as a card's upstream channel does.
 func BenchmarkChannelReserve(b *testing.B) {
 	b.Run("hot-tail", func(b *testing.B) {
 		eng := sim.New()
@@ -37,6 +43,21 @@ func BenchmarkChannelReserve(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			from := sim.Time(rng.Intn(int(100 * sim.Millisecond)))
 			c.ReserveRaw(from, 512)
+		}
+	})
+	b.Run("train", func(b *testing.B) {
+		eng := sim.New()
+		c := NewChannel(eng, "c", 4000*units.MBps)
+		var at [32]sim.Time
+		from := sim.Time(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.RunUntil(from)
+			for j := range at {
+				at[j] = from.Add(sim.Duration(j) * 80 * sim.Nanosecond)
+			}
+			c.reserveRawTrain(at[:], ReadRequestTLP)
+			from = from.Add(sim.Duration(len(at)) * 80 * sim.Nanosecond)
 		}
 	})
 }

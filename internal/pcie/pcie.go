@@ -86,9 +86,9 @@ type Channel struct {
 	busyTime  sim.Duration
 	bytes     int64
 	wireBytes int64
-	// reservations counts Reserve/ReserveRaw calls; peakWait is the
-	// longest any of them waited past its requested start (the channel's
-	// peak queueing delay). A torus link's meter is its channel.
+	// reservations counts booked bursts; peakWait is the longest any of
+	// them waited past its requested start (the channel's peak queueing
+	// delay). A torus link's meter is its channel.
 	reservations int64
 	peakWait     sim.Duration
 	// lastN/lastDur memoize the latest wire-time conversion: streams book
@@ -111,12 +111,11 @@ func NewChannel(eng *sim.Engine, name string, bw units.Bandwidth) *Channel {
 // after from, and the index where its interval would be inserted. Pure
 // read of the busy list — reserve books the slot, Probe only looks.
 func (c *Channel) findSlot(from sim.Time, d sim.Duration) (start sim.Time, idx int) {
+	if c.pastTail(from) {
+		return from, len(c.busy)
+	}
 	live := c.busy[c.head:]
 	n := len(live)
-	// Tail fast path: the burst lands at or past the horizon.
-	if n == 0 || from >= live[n-1].end {
-		return from, c.head + n
-	}
 	// Skip intervals that end at or before from.
 	i := sort.Search(n, func(k int) bool { return live[k].end > from })
 	start = from
@@ -133,6 +132,24 @@ func (c *Channel) findSlot(from sim.Time, d sim.Duration) (start sim.Time, idx i
 	return start, c.head + i
 }
 
+// pastTail reports whether a burst requested at from lands at or past the
+// calendar's horizon: the tail fast path, the steady state of a stream.
+func (c *Channel) pastTail(from sim.Time) bool {
+	n := len(c.busy)
+	return n == c.head || from >= c.busy[n-1].end
+}
+
+// extendTail books [start, end) at the end of the calendar: it extends
+// the last interval for back-to-back streams, else appends — no
+// insertion shift either way.
+func (c *Channel) extendTail(start, end sim.Time) {
+	if n := len(c.busy); n > c.head && c.busy[n-1].end == start {
+		c.busy[n-1].end = end
+	} else {
+		c.busy = append(c.busy, interval{start, end})
+	}
+}
+
 // reserve books d of channel time in the first idle gap at or after from.
 func (c *Channel) reserve(from sim.Time, d sim.Duration) (start, end sim.Time) {
 	if now := c.eng.Now(); from < now {
@@ -143,20 +160,57 @@ func (c *Channel) reserve(from sim.Time, d sim.Duration) (start, end sim.Time) {
 		return from, from
 	}
 	c.prune()
+	c.busyTime += d
+	if c.pastTail(from) {
+		end = from.Add(d)
+		c.extendTail(from, end)
+		return from, end
+	}
+	return c.place(from, d)
+}
+
+// train books a train of bursts of duration d, in order: burst i is
+// requested at at[i], and its end is left in at[i]. The calendar, the
+// counters and the peak wait end up as reserve would leave them for the
+// same bursts booked one at a time: no time passes during the train, so
+// it clamps to now and prunes once.
+func (c *Channel) train(at []sim.Time, d sim.Duration) {
+	now := c.eng.Now()
+	c.reservations += int64(len(at))
+	if d <= 0 {
+		for i, from := range at {
+			if from < now {
+				at[i] = now
+			}
+		}
+		return
+	}
+	c.prune()
+	c.busyTime += sim.Duration(len(at)) * d
+	for i, from := range at {
+		if from < now {
+			from = now
+		}
+		if c.pastTail(from) {
+			at[i] = from.Add(d)
+			c.extendTail(from, at[i])
+			continue
+		}
+		_, at[i] = c.place(from, d)
+	}
+}
+
+// place books d in the first idle gap at or after from on a pruned
+// calendar and records the wait: the gap search and insertion that
+// reserve and train share.
+func (c *Channel) place(from sim.Time, d sim.Duration) (start, end sim.Time) {
 	start, i := c.findSlot(from, d)
 	end = start.Add(d)
-	c.busyTime += d
 	if wait := start.Sub(from); wait > c.peakWait {
 		c.peakWait = wait
 	}
 	if i == len(c.busy) {
-		// Tail fast path: extend the last interval for back-to-back
-		// streams, else append — no insertion shift either way.
-		if i > c.head && c.busy[i-1].end == start {
-			c.busy[i-1].end = end
-		} else {
-			c.busy = append(c.busy, interval{start, end})
-		}
+		c.extendTail(start, end)
 		return start, end
 	}
 	c.busy = append(c.busy, interval{})
@@ -249,6 +303,20 @@ func (c *Channel) ReserveRaw(from sim.Time, n units.ByteSize) (start, end sim.Ti
 	return start, end
 }
 
+// reserveTrain is Reserve for a train of bursts of n payload bytes each,
+// burst i requested at at[i]; it leaves each burst's end in at[i].
+func (c *Channel) reserveTrain(at []sim.Time, n units.ByteSize) {
+	c.train(at, c.WireTime(n))
+	c.bytes += int64(len(at)) * int64(n)
+	c.wireBytes += int64(len(at)) * int64(wireSize(n))
+}
+
+// reserveRawTrain is ReserveRaw for a train of bursts of n raw bytes each.
+func (c *Channel) reserveRawTrain(at []sim.Time, n units.ByteSize) {
+	c.train(at, c.transfer(n))
+	c.wireBytes += int64(len(at)) * int64(n)
+}
+
 // Probe returns the earliest time a ReserveRaw of n bytes requested at
 // `from` would start on the wire, without booking anything — the same
 // gap-filling search as reserve (findSlot), read-only. Adaptive routing
@@ -283,8 +351,9 @@ func (c *Channel) PayloadBytes() int64 { return c.bytes }
 // WireBytes returns raw wire bytes carried so far (payload + framing).
 func (c *Channel) WireBytes() int64 { return c.wireBytes }
 
-// Reservations returns the number of Reserve and ReserveRaw calls so far.
-// Probe books nothing and counts nothing.
+// Reservations returns the number of bursts booked so far: one per
+// Reserve or ReserveRaw call, one per burst of a train. Probe books
+// nothing and counts nothing.
 func (c *Channel) Reservations() int64 { return c.reservations }
 
 // PeakWait returns the longest time any reservation waited for the wire
@@ -477,6 +546,40 @@ func (p *Path) SendRaw(from sim.Time, n units.ByteSize) (senderFree, arrival sim
 	}
 	arrival = t.Add(p.latency)
 	return senderFree, arrival
+}
+
+// SendTrain is Send for a train of bursts of n bytes each: burst i leaves
+// at at[i], and its arrival at the destination is left in at[i]. Every
+// channel books the whole train before the next channel on the path takes
+// the train's arrival times. That books what Send would book burst by
+// burst: a channel's bookings depend only on its own earlier bookings and
+// on the current time, and no time passes during the train.
+func (p *Path) SendTrain(at []sim.Time, n units.ByteSize) {
+	if n < 0 {
+		panic("pcie: negative burst")
+	}
+	for _, ch := range p.channels {
+		ch.reserveTrain(at, n)
+	}
+	for i := range at {
+		at[i] = at[i].Add(p.latency)
+	}
+	if p.fab.Rec.Enabled() && n > 0 {
+		note := "from " + p.From.Name
+		for _, t := range at {
+			p.fab.Rec.Emit(t, p.To.Name, "write", int64(n), note)
+		}
+	}
+}
+
+// SendRawTrain is SendRaw for a train of bursts, booked like SendTrain.
+func (p *Path) SendRawTrain(at []sim.Time, n units.ByteSize) {
+	for _, ch := range p.channels {
+		ch.reserveRawTrain(at, n)
+	}
+	for i := range at {
+		at[i] = at[i].Add(p.latency)
+	}
 }
 
 // Reader performs split-transaction memory reads from a target device with

@@ -13,7 +13,9 @@ import (
 //
 // It returns the arrival times of the first and last byte at the
 // destination. Stream performs no blocking; it only computes reservations,
-// so callers can model thousands of chunks without event overhead.
+// so callers can model thousands of chunks without event overhead. The
+// chunks are booked with SendTrain, up to a block of equal chunks at a
+// time.
 func (p *Path) Stream(from sim.Time, n units.ByteSize, rate units.Bandwidth, chunk units.ByteSize) (first, last sim.Time) {
 	if n <= 0 {
 		return from, from
@@ -21,21 +23,24 @@ func (p *Path) Stream(from sim.Time, n units.ByteSize, rate units.Bandwidth, chu
 	if chunk <= 0 {
 		panic("pcie: non-positive chunk")
 	}
+	var at [32]sim.Time
 	var sent units.ByteSize
-	k := 0
 	for sent < n {
-		sz := chunk
+		begin, sz := sent, chunk
 		if sz > n-sent {
 			sz = n - sent
 		}
-		sent += sz
-		ready := from.Add(units.TransferTime(sent, rate))
-		_, arr := p.Send(ready, sz)
-		if k == 0 {
-			first = arr
+		m := 0
+		for m < len(at) && sent+sz <= n {
+			sent += sz
+			at[m] = from.Add(units.TransferTime(sent, rate))
+			m++
 		}
-		last = arr
-		k++
+		p.SendTrain(at[:m], sz)
+		if begin == 0 {
+			first = at[0]
+		}
+		last = at[m-1]
 	}
 	return first, last
 }
