@@ -25,7 +25,7 @@
 //	apebench -run route-degraded -trace-out traces/  # stage traces + telemetry + rendered HTML per experiment
 //	apebench -run coll-allreduce -shards 4 -trace-out traces/  # sharded capture, canonically merged
 //	apebench -all -quick -parallel 4 -json out.json
-//	apebench -all -quick -baseline BENCH_2026-07-27.json -tolerance 1
+//	apebench -all -quick -scale -parallel 1 -baseline BENCH_2026-10-19.json -tolerance 0
 //	apebench -all -quick -json auto   # writes BENCH_<date>.json
 package main
 
@@ -129,7 +129,7 @@ func main() {
 	tlb := flag.Bool("tlb", false, "run every card with the hardware RX TLB (28 nm follow-up) instead of the firmware V2P walk")
 	router := flag.String("router", "", "torus routing engine: dor (default), adaptive, or fault")
 	scale := flag.Bool("scale", false, "include the LQCD-scale 16^3/32^3 rows in size-sweeping experiments (minutes of wall time)")
-	shards := flag.Int("shards", 1, "run the collective-world experiments (coll-*, route-*, scale-sweep; every router) across N parallel per-slab engines (1 = serial; results are bit-identical across shard counts N >= 2, and recorded+gated on baseline compares)")
+	shards := flag.Int("shards", 1, "run the collective-world experiments (coll-*, route-*, scale-sweep; every router) across N parallel per-slab engines (1 = one engine, the default; results are bit-identical at every shard count, and recorded+gated on baseline compares)")
 	hotlinks := flag.Int("hotlinks", 0, "print the top-N congested links after each coll-*/route-* experiment")
 	traceOut := flag.String("trace-out", "", "write per-experiment stage traces with sampled telemetry series (shared trace JSON schema) and rendered HTML pages to this directory; composes with -shards via per-shard capture buffers")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the experiment runs to this file")
@@ -137,7 +137,7 @@ func main() {
 	flag.Parse()
 
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "apebench: -shards %d: want at least 1 (the serial engine)\n", *shards)
+		fmt.Fprintf(os.Stderr, "apebench: -shards %d: want at least 1 (one engine, the default)\n", *shards)
 		os.Exit(2)
 	}
 	if err := bench.CheckTolerance(*tolerance); err != nil {

@@ -85,8 +85,8 @@ type Options struct {
 	// the collective worlds into interval time series, set by the Runner
 	// alongside Rec so traced runs also carry a telemetry section in
 	// their capture files. Off the Report path like Rec; the sampled
-	// series differ between serial and sharded runs (different sampling
-	// clocks — see coll.Config.TS).
+	// series differ between shard counts (samples are taken at round
+	// barriers — see coll.Config.TS).
 	TS *timeseries.Set
 }
 

@@ -39,7 +39,7 @@ type Result struct {
 	// the average parallel occupancy — the deterministic ceiling on
 	// multi-core speedup (the achieved speedup is the steps_per_sec ratio
 	// between runs at different -shards). Additive fields: older schema-1
-	// readers ignore them, serial runs omit them.
+	// readers ignore them, runs of one shard omit them.
 	ShardRounds     uint64 `json:"shard_rounds,omitempty"`
 	ShardBusyRounds uint64 `json:"shard_busy_rounds,omitempty"`
 	// Seed is the per-experiment seed the runner derived (0 = the
@@ -77,9 +77,9 @@ type Run struct {
 	Scale bool `json:"scale,omitempty"`
 	// Shards records a -shards override: the collective-world experiments
 	// ran across that many parallel per-slab engines (pinned bit-identical
-	// to serial, except scale-sweep's peak-pending cell, which measures
-	// per-engine queues). Additive field: older schema-1 readers ignore
-	// it.
+	// to the default one-shard run, except scale-sweep's peak-pending
+	// cell, which measures per-engine queues). Additive field: older
+	// schema-1 readers ignore it.
 	Shards int `json:"shards,omitempty"`
 	// Traced records a -trace-out run: every experiment carried a
 	// stage-capture recorder and a telemetry sampler, which perturb

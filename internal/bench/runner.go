@@ -79,8 +79,8 @@ func (r *Runner) Run(exps []Experiment) *Run {
 		run.Dims = r.Opts.Dims.String()
 	}
 	if r.Opts.Shards > 1 {
-		// 0 and 1 are both the serial engine; normalize so -shards 1 runs
-		// stay baseline-compatible with pre-shards artifacts.
+		// 0 and 1 both mean one shard; normalize so -shards 1 runs stay
+		// baseline-compatible with artifacts recorded without the flag.
 		run.Shards = r.Opts.Shards
 	}
 	if r.Opts.Router != route.ModeDimensionOrder {

@@ -11,32 +11,21 @@ import (
 )
 
 // TestShardedEquivalence is the pin the sharded event loop hangs from:
-// every registered experiment runs its reference configuration twice —
-// byte-identical report JSON, sim steps, engines and peak pending, the
-// determinism every 0% baseline diff rests on — and then with 2, 4, and
-// 8 shards, which must match the reference's report JSON (masked, see
-// below), sim steps and engine count. The experiments that consume
-// Options.Shards (coll-*, route-*, scale-sweep) cover every router:
-// dimension-ordered, adaptive (route-hotspot, coll-a2a-adaptive) and
-// fault-aware (route-degraded). Those honoring Options.Dims get an 8x2x2
-// torus so 2, 4, and 8 shards are all real slab decompositions (8
-// parallel engines along X); the route-* tori are fixed, and the shard
-// request is clamped to their slab axis. The other experiments ignore
-// Options.Shards by construction, and this test is the regression guard
-// that it stays that way: they run once more, at 8 shards.
-//
-// The reference is the serial engine (Shards: 1) for every experiment
-// except those whose credit grants fire retroactively under contention,
-// whose reference is the 2-shard group, compared at 4 and 8 shards:
-//
-//   - coll-a2a, coll-a2a-adaptive: the synchronized all-to-all burst;
-//   - route-hotspot: the transpose permutation's contended columns.
-//
-// There the group's barrier-deferred message protocol resumes blocked
-// injectors a barrier later than the serial engine's inline grant, which
-// reorders same-window link bookings. The deferral is a pure function of
-// event stamps, so every group is bit-identical at every shard count,
-// which is exactly what this test pins.
+// every registered experiment runs its reference configuration — the
+// default, one shard — twice: byte-identical report JSON, sim steps,
+// engines and peak pending, the determinism every 0% baseline diff rests
+// on. Then it runs with 2, 4, and 8 shards, which must match the
+// reference's report JSON (masked, see below), sim steps and engine
+// count. The experiments that consume Options.Shards (coll-*, route-*,
+// scale-sweep) cover every router: dimension-ordered, adaptive
+// (route-hotspot, coll-a2a-adaptive) and fault-aware (route-degraded),
+// and credit contention (the all-to-all bursts, the transpose hotspot).
+// Those honoring Options.Dims get an 8x2x2 torus so 2, 4, and 8 shards
+// are all real slab decompositions (8 parallel engines along X); the
+// route-* tori are fixed, and the shard request is clamped to their slab
+// axis. The other experiments ignore Options.Shards by construction, and
+// this test is the regression guard that it stays that way: they run
+// once more, at 8 shards.
 //
 // One masked cell: scale-sweep's "peak pending" column reports the
 // event-queue high-water mark, which is a property of each engine's heap
@@ -52,8 +41,8 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			if raceEnabled && !consumesShards(e.ID) {
-				// Experiments that ignore Options.Shards run the serial
-				// engine three times over; under the race detector that
+				// Experiments that ignore Options.Shards run the same
+				// world three times over; under the race detector that
 				// blows the suite past the package timeout without adding
 				// coverage (TestAllExperimentsDeterministic still runs their
 				// reference pair under race). The full matrix runs without
@@ -63,12 +52,9 @@ func TestShardedEquivalence(t *testing.T) {
 			ref := referenceRuns(t, e)
 			refJSON := marshalMasked(t, e.ID, ref.first.Report)
 			counts := []int{2, 4, 8}
-			switch {
-			case !consumesShards(e.ID):
+			if !consumesShards(e.ID) {
 				// One shard request is enough to show it is ignored.
 				counts = counts[2:]
-			case groupReference[e.ID]:
-				counts = counts[1:] // 2 shards is the reference
 			}
 			for _, shards := range counts {
 				o := ref.opts
@@ -99,11 +85,6 @@ func consumesShards(id string) bool {
 	return strings.HasPrefix(id, "coll-") || strings.HasPrefix(id, "route-") || id == "scale-sweep"
 }
 
-// groupReference names the experiments whose equivalence reference is
-// the 2-shard group rather than the serial engine (see
-// TestShardedEquivalence).
-var groupReference = map[string]bool{"coll-a2a": true, "coll-a2a-adaptive": true, "route-hotspot": true}
-
 // refRuns is one experiment's reference configuration and its two runs.
 type refRuns struct {
 	opts          Options
@@ -131,9 +112,6 @@ func referenceRuns(t *testing.T, e Experiment) refRuns {
 		o := Options{Quick: true, Shards: 1}
 		if consumesShards(e.ID) {
 			o.Dims = torus.Dims{X: 8, Y: 2, Z: 2}
-		}
-		if groupReference[e.ID] {
-			o.Shards = 2
 		}
 		r := &Runner{Parallel: 1, Opts: o}
 		entry.runs = refRuns{opts: o, first: r.runOne(e), second: r.runOne(e)}

@@ -119,6 +119,11 @@ func (cl *Cluster) buildNode(i int, cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Card != nil {
 		if cl.Net == nil {
+			// Checked before the network, whose engine group takes the hop
+			// latency as its lookahead.
+			if err := cfg.Card.Validate(); err != nil {
+				return nil, err
+			}
 			cl.Net = core.NewNetwork(cl.Eng, cl.Dims, cfg.Card.LinkBandwidth, cfg.Card.HopLatency)
 		}
 		pci := fab.Attach(fmt.Sprintf("node%d.apenet", i), sw, pcie.Gen2x8, hopLat)

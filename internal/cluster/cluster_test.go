@@ -78,6 +78,18 @@ func TestTooManyNodesRejected(t *testing.T) {
 	}
 }
 
+// A card configuration without a hop latency is refused with an error
+// before the network builds its engine group around it.
+func TestZeroHopLatencyRejected(t *testing.T) {
+	eng := sim.New()
+	defer eng.Shutdown()
+	cfg := core.DefaultConfig()
+	cfg.HopLatency = 0
+	if _, err := TwoNodes(eng, nil, cfg, 0); err == nil {
+		t.Fatal("zero hop latency accepted")
+	}
+}
+
 func TestSingleNodeRig(t *testing.T) {
 	eng := sim.New()
 	defer eng.Shutdown()

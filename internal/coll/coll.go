@@ -51,39 +51,30 @@ type Config struct {
 	// 4 MB.
 	SlotBytes units.ByteSize
 	// Rec, when non-nil, records trace events (and allows
-	// Network.TraceLinkStats snapshots). Sharded worlds give every slab
-	// its own shard-private recorder — the emit path stays lock-free —
-	// and Run merges the per-shard streams into Rec in the canonical
-	// order (trace.SortCanonical), which is byte-identical across shard
-	// counts. Serial traced runs are normalized with the same sort, so
-	// one capture compares equal however many engines produced it.
+	// Network.TraceLinkStats snapshots). Every slab gets its own
+	// shard-private recorder — the emit path stays lock-free — and Run
+	// merges the per-shard streams into Rec in the canonical order
+	// (trace.SortCanonical), which is byte-identical across shard counts.
 	Rec *trace.Recorder
 	// TS, when non-nil, collects interval-sampled run telemetry during
 	// Run — link utilization and backlog, outstanding collective sends,
-	// TLB hit rate, and (sharded) per-shard busy fractions. Serial
-	// worlds sample on a self-rescheduling infra event; sharded worlds
-	// sample at round barriers, so the sampling instants (and therefore
-	// the series, unlike the event stream) differ across shard counts.
-	// See internal/timeseries; apebench -trace-out embeds the series in
-	// the capture file.
+	// TLB hit rate, and, with more than one shard, per-shard busy
+	// fractions. Samples are taken at round barriers, so the sampling
+	// instants (and therefore the series, unlike the event stream)
+	// differ across shard counts. See internal/timeseries; apebench
+	// -trace-out embeds the series in the capture file.
 	TS *timeseries.Set
-	// Shards asks for sharded execution: the torus is sliced into that
-	// many slabs along its longest dimension, each slab's nodes live on
-	// their own sim engine, and the engines run in parallel under the
-	// conservative protocol of sim.Group with the cable hop latency as
-	// lookahead. 0 or 1 is the serial engine, bit-identical to every
-	// earlier release. Every router shards: hops are booked on the
+	// Shards is the number of slabs the torus is sliced into along its
+	// longest dimension: each slab's nodes live on their own sim engine,
+	// and the engines run in parallel under the conservative protocol of
+	// sim.Group with the cable hop latency as lookahead. 0 and 1 both
+	// mean one shard: the same group protocol on a single engine, with
+	// no worker goroutine. Every router shards: hops are booked on the
 	// engine owning each hop's source node at the packet's arrival time,
 	// so an adaptive router's backlog probes read only that engine's
-	// links. Requesting more shards than the slab axis is long is an
-	// error (see MaxShards), and so is any group request on a card
-	// configuration with no positive hop latency (the group lookahead).
-	//
-	// Groups give bit-identical results at every shard count. The serial
-	// engine differs from them only where credit grants fire
-	// retroactively under contention (all-to-all, the transpose
-	// hotspot): a group resumes those injectors a barrier later than the
-	// serial engine's inline grant.
+	// links. Results are bit-identical at every shard count. Requesting
+	// more shards than the slab axis is long is an error (see
+	// MaxShards).
 	Shards int
 }
 
@@ -96,9 +87,8 @@ type World struct {
 	Ranks []*Rank
 
 	bar       *barrier
-	g         *sim.Group        // nil: serial engine
+	g         *sim.Group
 	shardRecs []*trace.Recorder // per-slab recorders, parallel to the group's engines
-	shards    int               // shard count (1 = serial)
 }
 
 // Rank is one collective participant: a node, its card endpoint, and the
@@ -155,15 +145,19 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 	if cfg.Card != nil {
 		cc = *cfg.Card
 	}
+	// The hop latency is the group lookahead, so it is checked before the
+	// group is built.
+	if err := cc.Validate(); err != nil {
+		return nil, err
+	}
 	var specs []gpu.Spec
 	if cfg.Buf == core.GPUMem {
 		specs = []gpu.Spec{gpu.Fermi2050()}
 	}
 	n := cfg.Dims.Nodes()
 
-	// Sharded execution: slice the torus into slabs along its longest
-	// dimension and give each slab its own engine in a sim.Group (see
-	// Config.Shards).
+	// Slice the torus into slabs along its longest dimension and give each
+	// slab its own engine in a sim.Group (see Config.Shards).
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
@@ -177,31 +171,17 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("coll: %d shards requested but torus %v slices into at most %d slabs along its longest axis (see MaxShards)",
 			shards, cfg.Dims, ax)
 	}
-	grouped := shards > 1
-	if grouped && cc.HopLatency <= 0 {
-		// The hop latency is the group lookahead: without one, a hop
-		// booked for another shard could land inside the window that
-		// produced it.
-		return nil, fmt.Errorf("coll: %d-shard request needs a positive card hop latency (the group lookahead), got %v",
-			shards, cc.HopLatency)
-	}
-	var g *sim.Group
-	engOf := func(i int) *sim.Engine { return eng }
+	g := sim.NewGroup(eng, shards, cc.HopLatency)
 	slabOf := func(i int) int {
 		return axisCoord(cfg.Dims.CoordOf(i), axis) * shards / axisLen(cfg.Dims, axis)
-	}
-	if grouped {
-		g = sim.NewGroup(eng, shards, cc.HopLatency)
-		engOf = func(i int) *sim.Engine { return g.Engine(slabOf(i)) }
 	}
 
 	// Per-shard trace buffers: each slab's components emit into their
 	// own recorder (single-writer, no locks on the emit path), mirroring
-	// the attached recorder's mode; Run merges them back. Serial worlds
-	// keep the direct wiring.
+	// the attached recorder's mode; Run merges them back.
 	var shardRecs []*trace.Recorder
 	recOf := func(i int) *trace.Recorder { return nil }
-	if g != nil && cfg.Rec.Enabled() {
+	if cfg.Rec.Enabled() {
 		shardRecs = make([]*trace.Recorder, shards)
 		for k := range shardRecs {
 			shardRecs[k] = trace.New()
@@ -211,13 +191,13 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 	}
 
 	cl, err := cluster.New(eng, cfg.Rec, cfg.Dims, n, func(i int) cluster.NodeConfig {
-		return cluster.NodeConfig{GPUSpecs: specs, Card: &cc, Eng: engOf(i), Rec: recOf(i)}
+		return cluster.NodeConfig{GPUSpecs: specs, Card: &cc, Eng: g.Engine(slabOf(i)), Rec: recOf(i)}
 	})
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Eng: eng, Cl: cl, Dims: cfg.Dims, Cfg: cfg, bar: newBarrier(eng, n, g),
-		g: g, shardRecs: shardRecs, shards: shards}
+	w := &World{Eng: eng, Cl: cl, Dims: cfg.Dims, Cfg: cfg, bar: &barrier{n: n, g: g},
+		g: g, shardRecs: shardRecs}
 	for i, node := range cl.Nodes {
 		w.Ranks = append(w.Ranks, &Rank{
 			ID:      i,
@@ -234,9 +214,8 @@ func NewWorld(eng *sim.Engine, cfg Config) (*World, error) {
 // Net returns the torus network (for link stats).
 func (w *World) Net() *core.Network { return w.Cl.Net }
 
-// Shards returns the shard count the world runs on (1 = the serial
-// engine).
-func (w *World) Shards() int { return w.shards }
+// Shards returns the shard count the world runs on.
+func (w *World) Shards() int { return w.g.Shards() }
 
 // MaxShards returns the largest legal Config.Shards for a torus: the
 // length of its slab axis (the longest dimension, ties broken toward Z).
@@ -287,8 +266,7 @@ func (w *World) Run(body func(p *sim.Proc, r *Rank)) {
 	mark := w.Cfg.Rec.Len()
 	for _, r := range w.Ranks {
 		r := r
-		// Each rank's process lives on its node's engine — its shard's
-		// engine in a sharded world, the world engine (identical) serially.
+		// Each rank's process lives on its node's engine: its shard's.
 		r.node.Card.Eng.Go(fmt.Sprintf("coll.rank%d", r.ID), func(p *sim.Proc) {
 			r.setup(p)
 			w.Barrier(p)
@@ -306,16 +284,11 @@ func (w *World) Run(body func(p *sim.Proc, r *Rank)) {
 }
 
 // mergeTrace folds this run's capture into the attached recorder in the
-// canonical order: sharded worlds append the per-shard streams (in shard
-// order) and sort, serial worlds sort their suffix in place. Both end at
-// the identical byte stream for the identical model results, which is
-// what lets a capture taken at 1, 2, or 4 shards compare equal.
+// canonical order: it appends the per-shard streams (in shard order) and
+// sorts, which ends at the identical byte stream for the identical model
+// results — what lets a capture taken at 1, 2, or 4 shards compare equal.
 func (w *World) mergeTrace(mark int) {
 	if !w.Cfg.Rec.Enabled() {
-		return
-	}
-	if len(w.shardRecs) == 0 {
-		w.Cfg.Rec.MergeCanonical(mark)
 		return
 	}
 	streams := make([][]trace.Event, len(w.shardRecs))
@@ -454,16 +427,12 @@ func (r *Rank) drainSends(p *sim.Proc) {
 	}
 }
 
-// barrier is a counter-based rendezvous over a Signal; sharded worlds use
-// a coordinator rendezvous on shard 0 instead (waitSharded).
+// barrier is a coordinator rendezvous on shard 0: arrivals are posted
+// there, and the last one wakes every rank.
 type barrier struct {
-	sig     *sim.Signal
-	n       int
-	arrived int
-	gen     uint64
-
-	g     *sim.Group       // nil: serial Signal barrier
-	waits []barrierArrival // sharded: arrivals so far, in ingestion order
+	n     int
+	g     *sim.Group
+	waits []barrierArrival // arrivals so far, in ingestion order
 }
 
 type barrierArrival struct {
@@ -472,32 +441,10 @@ type barrierArrival struct {
 	t     sim.Time
 }
 
-func newBarrier(eng *sim.Engine, n int, g *sim.Group) *barrier {
-	return &barrier{sig: sim.NewSignal(eng), n: n, g: g}
-}
-
+// wait posts the arrival to the coordinator (shard 0) as an infra
+// message and parks until the coordinator wakes it at the rendezvous
+// time.
 func (b *barrier) wait(p *sim.Proc) {
-	if b.g != nil {
-		b.waitSharded(p)
-		return
-	}
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.sig.Broadcast()
-		return
-	}
-	gen := b.gen
-	for b.gen == gen {
-		b.sig.Wait(p, "coll.barrier")
-	}
-}
-
-// waitSharded posts the arrival to the coordinator (shard 0) as an infra
-// message — the serial barrier's bookkeeping costs no events — and parks
-// until the coordinator wakes it at the rendezvous time.
-func (b *barrier) waitSharded(p *sim.Proc) {
 	e, t, proc := p.Engine(), p.Now(), p
 	sh := e.Shard()
 	e.Post(0, t, true, func() { b.arrive(proc, sh, t) })
@@ -507,10 +454,10 @@ func (b *barrier) waitSharded(p *sim.Proc) {
 // arrive runs on shard 0. The n-th arrival completes the rendezvous: all
 // ranks resume at the latest arrival time. Arrivals were ingested in
 // deterministic merge-key order, so the last one carries the maximum
-// stamp; its wake is infra (the serial barrier's last arriver continues
-// inline, costing no event) while the other n-1 wakes are counted events,
-// matching the serial Broadcast's cost exactly. A rank cannot reach the
-// next barrier before this one completes, so one arrival list suffices.
+// stamp; its wake is infra (the last arriver continues at once, costing
+// no event) while the other n-1 wakes are counted events. A rank cannot
+// reach the next barrier before this one completes, so one arrival list
+// suffices.
 func (b *barrier) arrive(p *sim.Proc, shard int, t sim.Time) {
 	b.waits = append(b.waits, barrierArrival{p, shard, t})
 	if len(b.waits) < b.n {

@@ -8,28 +8,21 @@ import (
 	"apenetsim/internal/torus"
 )
 
-// Time-series sampling for collective worlds (Config.TS). Serial worlds
-// drive the sampler from a self-rescheduling infra event that retires
-// itself when it is the last thing in the heap, so Run still drains;
-// sharded worlds sample at round barriers (sim.Group.OnRound), where
-// every worker is parked and cross-shard reads are safe. Infra events
-// never count as sim steps, so sampling leaves the step accounting of a
-// traced run identical to its untraced twin (only PeakPending can move,
-// and traced runs are never baseline cells).
+// Time-series sampling for collective worlds (Config.TS). Samples are
+// taken at round barriers (sim.Group.OnRound), where every shard is
+// parked and cross-shard reads are safe. Sampling schedules no event, so
+// it leaves the event stream and step accounting of a traced run
+// identical to its untraced twin.
 
-// installSampling registers the world's probes and starts the sampling
-// driver appropriate to the engine layout. No-op without a Config.TS.
+// installSampling registers the world's probes and drives them from the
+// group's round barrier. No-op without a Config.TS.
 func (w *World) installSampling() {
 	ts := w.Cfg.TS
 	if ts == nil {
 		return
 	}
 	w.registerProbes(ts)
-	if w.g != nil {
-		w.sampleByRound(ts)
-	} else {
-		w.sampleSerial(ts)
-	}
+	w.sampleByRound(ts)
 }
 
 // registerProbes wires the engine-layout-independent probes: link
@@ -103,34 +96,18 @@ func (w *World) registerProbes(ts *timeseries.Set) {
 	})
 }
 
-// sampleSerial drives the sampler with a self-rescheduling infra event.
-// When the sampler fires with an empty heap it was the only event left
-// (its own pop emptied the queue), so it stops rescheduling and Run's
-// drain terminates as it would untraced.
-func (w *World) sampleSerial(ts *timeseries.Set) {
-	eng := w.Eng
-	var tick func()
-	tick = func() {
-		ts.Sample(eng.Now())
-		if eng.Pending() == 0 {
-			return
-		}
-		eng.AtInfra(eng.Now().Add(ts.Interval()), tick)
-	}
-	eng.AtInfra(eng.Now().Add(ts.Interval()), tick)
-}
-
 // sampleByRound drives the sampler from the group's round barrier:
 // per-shard busy flags accumulate every round, and once the round floor
 // crosses the next sampling instant the whole probe set fires with the
-// floor as its timestamp. Additional per-shard occupancy probes report
-// each shard's busy fraction over the rounds since the previous sample.
+// floor as its timestamp. With more than one shard, per-shard occupancy
+// probes report each shard's busy fraction over the rounds since the
+// previous sample (a lone shard is busy in every round).
 func (w *World) sampleByRound(ts *timeseries.Set) {
 	g := w.g
 	n := g.Shards()
 	busy := make([]uint64, n)
 	var rounds uint64
-	for i := 0; i < n; i++ {
+	for i := 0; n > 1 && i < n; i++ {
 		i := i
 		ts.Probe(fmt.Sprintf("shard%d.busy", i), "frac", func(now sim.Time) float64 {
 			if rounds == 0 {

@@ -71,45 +71,42 @@ func shardRun(t *testing.T, shards int, wantShards int) shardOutcome {
 	for _, r := range w.Ranks {
 		out.Stats = append(out.Stats, r.node.Card.Stats())
 	}
-	if g := eng.Group(); g != nil {
-		for i := 0; i < g.Shards(); i++ {
-			out.Steps += g.Engine(i).Steps()
-		}
-	} else {
-		out.Steps = eng.Steps()
+	g := eng.Group()
+	for i := 0; i < g.Shards(); i++ {
+		out.Steps += g.Engine(i).Steps()
 	}
 	return out
 }
 
-// TestShardedCollEquivalence pins the sharded world to the serial one:
+// TestShardedCollEquivalence pins the sharded world to the default one:
 // identical per-rank timings, per-card and per-link statistics, final
 // clock, and total counted event steps at 1, 2, and 4 shards.
 func TestShardedCollEquivalence(t *testing.T) {
-	serial := shardRun(t, 1, 1)
-	if len(serial.Links) == 0 {
-		t.Fatal("serial run metered no torus links")
+	def := shardRun(t, 0, 1)
+	if len(def.Links) == 0 {
+		t.Fatal("default run metered no torus links")
 	}
 	for _, shards := range []int{2, 4} {
 		got := shardRun(t, shards, shards)
-		if !reflect.DeepEqual(got, serial) {
-			if got.Now != serial.Now {
-				t.Errorf("shards=%d: final clock %v, serial %v", shards, got.Now, serial.Now)
+		if !reflect.DeepEqual(got, def) {
+			if got.Now != def.Now {
+				t.Errorf("shards=%d: final clock %v, default %v", shards, got.Now, def.Now)
 			}
-			if got.Steps != serial.Steps {
-				t.Errorf("shards=%d: %d sim steps, serial %d", shards, got.Steps, serial.Steps)
+			if got.Steps != def.Steps {
+				t.Errorf("shards=%d: %d sim steps, default %d", shards, got.Steps, def.Steps)
 			}
-			for i := range serial.Durs {
-				if got.Durs[i] != serial.Durs[i] {
-					t.Errorf("shards=%d: rank %d timed %v, serial %v", shards, i, got.Durs[i], serial.Durs[i])
+			for i := range def.Durs {
+				if got.Durs[i] != def.Durs[i] {
+					t.Errorf("shards=%d: rank %d timed %v, default %v", shards, i, got.Durs[i], def.Durs[i])
 				}
 			}
-			for i := range serial.Stats {
-				if got.Stats[i] != serial.Stats[i] {
-					t.Errorf("shards=%d: card %d stats\n got %+v\nwant %+v", shards, i, got.Stats[i], serial.Stats[i])
+			for i := range def.Stats {
+				if got.Stats[i] != def.Stats[i] {
+					t.Errorf("shards=%d: card %d stats\n got %+v\nwant %+v", shards, i, got.Stats[i], def.Stats[i])
 				}
 			}
-			if !reflect.DeepEqual(got.Links, serial.Links) {
-				t.Errorf("shards=%d: link stats\n got %+v\nwant %+v", shards, got.Links, serial.Links)
+			if !reflect.DeepEqual(got.Links, def.Links) {
+				t.Errorf("shards=%d: link stats\n got %+v\nwant %+v", shards, got.Links, def.Links)
 			}
 			t.FailNow()
 		}
@@ -142,24 +139,21 @@ func TestRoutedWorldsShardAsRequested(t *testing.T) {
 	}
 }
 
-// TestShardRequestNeedsHopLatency pins that a group request without a
-// positive hop latency — the group lookahead — is an error, while the
-// serial engine still accepts the configuration.
+// TestShardRequestNeedsHopLatency pins that a card configuration without
+// a positive hop latency — the group lookahead — is an error at every
+// shard count, one included.
 func TestShardRequestNeedsHopLatency(t *testing.T) {
 	cc := core.DefaultConfig()
 	cc.HopLatency = 0
 	dims := torus.Dims{X: 4, Y: 2, Z: 2}
-	_, err := NewWorld(sim.New(), Config{Dims: dims, Card: &cc, Shards: 2})
-	if err == nil {
-		t.Fatal("2 shards with zero hop latency: want an error, got a world")
-	}
-	if !strings.Contains(err.Error(), "hop latency") {
-		t.Fatalf("zero-latency shard error %q does not name the hop latency", err)
-	}
-	eng := sim.New()
-	defer eng.Shutdown()
-	if _, err := NewWorld(eng, Config{Dims: dims, Card: &cc}); err != nil {
-		t.Fatalf("serial world with zero hop latency: %v", err)
+	for _, shards := range []int{1, 2} {
+		_, err := NewWorld(sim.New(), Config{Dims: dims, Card: &cc, Shards: shards})
+		if err == nil {
+			t.Fatalf("%d shards with zero hop latency: want an error, got a world", shards)
+		}
+		if !strings.Contains(err.Error(), "hop latency") {
+			t.Fatalf("%d shards: zero-latency error %q does not name the hop latency", shards, err)
+		}
 	}
 }
 

@@ -12,17 +12,14 @@ import (
 	"apenetsim/internal/units"
 )
 
-// tracedRun executes a halo + dimension-order allreduce program under a
-// stage-capture recorder and a telemetry sampler, and returns the merged
-// capture serialized to JSON — the byte stream -trace-out would write
-// (events only; series are sampled per engine layout and deliberately
-// excluded). The sampler is attached on purpose: its serial driver
-// leaves a trailing infra tick past the last real event, and the
-// link_stats snapshot must not pick up that rounded clock (pinned here
-// via Engine.WorkEnd). The program avoids all-to-all: that is the one
-// pattern where the serial engine's injection-order link bookings differ
-// from the group's wire-arrival order (see Config.Shards), so its
-// capture is group-invariant but not serial-identical.
+// tracedRun executes a halo, a dimension-order allreduce and an
+// all-to-all under a stage-capture recorder and a telemetry sampler, and
+// returns the merged capture serialized to JSON — the byte stream
+// -trace-out would write (events only; series are sampled per round
+// structure and deliberately excluded). The sampler is attached on
+// purpose: sampling must not move an event. The all-to-all contends for
+// credits and links, whose grants and bookings must resolve in one order
+// at every shard count.
 func tracedRun(t *testing.T, shards int) []byte {
 	t.Helper()
 	eng := sim.New()
@@ -39,7 +36,7 @@ func tracedRun(t *testing.T, shards int) []byte {
 		t.Fatal(err)
 	}
 	if w.Shards() != shards {
-		t.Fatalf("Shards() = %d, want %d (tracing must not force serial)", w.Shards(), shards)
+		t.Fatalf("Shards() = %d, want %d (tracing must not change the shard count)", w.Shards(), shards)
 	}
 	w.Run(func(p *sim.Proc, r *Rank) {
 		base := r.opBase()
@@ -53,6 +50,9 @@ func tracedRun(t *testing.T, shards int) []byte {
 		r.Timed(p, func() {
 			r.AllReduceDims(p, 32*units.KB, []float64{float64(r.ID)})
 		})
+		r.Timed(p, func() {
+			r.AllToAll(p, 8*units.KB, nil)
+		})
 	})
 	if rec.Len() == 0 {
 		t.Fatal("traced run captured no events")
@@ -65,14 +65,14 @@ func tracedRun(t *testing.T, shards int) []byte {
 }
 
 // TestTracedCaptureShardInvariant is the determinism pin for the merged
-// sharded capture: the same experiment traced on the serial engine and
-// on 2/4-shard groups produces byte-identical merged event streams.
+// sharded capture: the same experiment traced on one shard and on
+// 2/4-shard groups produces byte-identical merged event streams.
 func TestTracedCaptureShardInvariant(t *testing.T) {
-	serial := tracedRun(t, 1)
+	one := tracedRun(t, 1)
 	for _, shards := range []int{2, 4} {
 		got := tracedRun(t, shards)
-		if !bytes.Equal(got, serial) {
-			t.Fatalf("shards=%d: merged capture differs from serial (%d vs %d bytes)", shards, len(got), len(serial))
+		if !bytes.Equal(got, one) {
+			t.Fatalf("shards=%d: merged capture differs from one shard (%d vs %d bytes)", shards, len(got), len(one))
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // packetWorld is TestPacketAllocBudget's and BenchmarkPacketPUT's world:
-// a serial 8x1x1 ring whose rank 0 PUTs from host or GPU memory into a
+// a one-shard 8x1x1 ring whose rank 0 PUTs from host or GPU memory into a
 // host buffer on rank 4, four hops away.
 type packetWorld struct {
 	eng            *sim.Engine
@@ -79,7 +79,7 @@ func (w *packetWorld) puts(tb testing.TB, count int, n units.ByteSize) {
 }
 
 // packetAllocs returns the heap allocations one more 4 KB packet adds to
-// a PUT from rank 0 to rank 4 (four hops) on a serial 8x1x1 ring: the
+// a PUT from rank 0 to rank 4 (four hops) on a one-shard 8x1x1 ring: the
 // difference between two transfer sizes over their packet difference, so
 // world set-up and per-job costs cancel. The larger transfer is measured
 // first, so queues, heaps and maps no longer grow when either is counted.

@@ -89,9 +89,9 @@ type Card struct {
 
 	// ledger is the link-level flow control pool: senders take a credit
 	// per packet before injecting toward this card and the RX engine
-	// returns it after processing (see credit.go). On a sharded torus it
-	// is owned by this card's shard. creditSeq numbers this card's own
-	// outgoing credit requests, half of the pure tie-break key.
+	// returns it after processing (see credit.go). It is owned by this
+	// card's shard. creditSeq numbers this card's own outgoing credit
+	// requests, half of the pure tie-break key.
 	ledger    *creditLedger
 	creditSeq uint64
 
@@ -239,6 +239,7 @@ func (c *Card) Start() {
 	c.started = true
 	c.tx.run, c.tx.nios = c.stepTX, c.Nios.NewSlot()
 	c.inj.run = c.stepInjector
+	c.inj.request = func() { c.inj.dest.creditRequest(c, c.inj.reqT, c.inj.reqSeq) }
 	c.rx.run, c.rx.nios = c.stepRX, c.Nios.NewSlot()
 	c.niosTX.run, c.niosTX.nios = c.stepNiosTX, c.Nios.NewSlot()
 	c.getRsp.run = c.stepGetResponder

@@ -194,6 +194,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: bad read request parameters")
 	case c.LinkBandwidth <= 0 || c.NiosClockMHz <= 0:
 		return fmt.Errorf("core: bad link bandwidth or Nios clock")
+	case c.HopLatency <= 0:
+		// The hop latency is the lookahead of the sim.Group every torus
+		// runs in: without one, a hop booked for another shard could land
+		// inside the window that produced it.
+		return fmt.Errorf("core: hop latency must be positive (it is the group lookahead), got %v", c.HopLatency)
 	case c.HostReadOutstanding <= 0 || c.HostReadChunk <= 0:
 		return fmt.Errorf("core: bad host read DMA parameters")
 	case c.GetRequestBytes < 0 || c.MaxOutstandingGets < 0:

@@ -20,6 +20,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.TXVersion = 2; c.PrefetchWindow = 0 },
 		func(c *Config) { c.ReadReqBytes = 0 },
 		func(c *Config) { c.LinkBandwidth = 0 },
+		func(c *Config) { c.HopLatency = 0 },
 		func(c *Config) { c.HostReadOutstanding = 0 },
 		func(c *Config) { c.GetRequestBytes = -1 },
 		func(c *Config) { c.MaxOutstandingGets = -1 },

@@ -10,27 +10,9 @@ import (
 //
 // Senders take a credit from the destination card's pool before injecting
 // a packet toward it; the RX engine returns the credit when the packet
-// leaves the link-level buffer. Both the serial and the sharded path run
-// the same creditLedger, so the outcome of every contended acquisition is
-// a pure function of the model — never of engine scheduling or the shard
-// count:
-//
-//   - Blocked requests wait in (stamp, requester rank, requester seq)
-//     order — an explicit key carried with the request, not the order in
-//     which a heap or a mailbox happened to deliver it. Equal-time bursts
-//     (all-to-all) therefore resolve identically at every shard count.
-//   - A grant is "blocked" — and costs one counted wake event, mirroring
-//     a blocking semaphore acquire — exactly when its grant time exceeds
-//     the request stamp. A release that lands on the same timestamp as a
-//     pending request is indistinguishable from a pool that was never
-//     empty, whichever side the engine happened to execute first.
-//
-// Serially one engine serializes both cards, so the ledger is touched
-// inline from the sender's injector: an immediate grant costs zero
-// events, a deferred one schedules the injector's continuation when the
-// credit frees. On a sharded torus the pool lives with its card — on the
-// destination card's shard — and acquisition becomes a request/grant
-// message pair:
+// leaves the link-level buffer. The pool lives with its card, on the
+// destination card's shard of the engine's sim.Group (one shard unless
+// more were asked for), and acquisition is a request/grant message pair:
 //
 //	sender shard                      destination shard
 //	------------                      -----------------
@@ -40,16 +22,30 @@ import (
 //	injector waits           <-- Post grant (stamp = grant time)
 //	injector continues at grant time
 //
+// The exchange is the same at every shard count, so the outcome of every
+// contended acquisition is a pure function of the model — never of
+// engine scheduling or the shard count:
+//
+//   - Blocked requests wait in (stamp, requester rank, requester seq)
+//     order — an explicit key carried with the request, not the order in
+//     which a mailbox happened to deliver it. Equal-time bursts
+//     (all-to-all) therefore resolve identically at every shard count.
+//   - A grant is "blocked" — and costs one counted wake event, mirroring
+//     a blocking semaphore acquire — exactly when its grant time exceeds
+//     the request stamp. A release that lands on the same timestamp as a
+//     pending request is indistinguishable from a pool that was never
+//     empty, whichever side the engine happened to execute first.
+//
 // Every time in the exchange is computed, never read from a racing clock,
 // so grants are bit-exact: a credit freed at time f serves a request
-// stamped t at max(t, f), exactly when the serial ledger would have
-// granted it.
+// stamped t at max(t, f).
 //
+// Nothing in the exchange allocates. The request is a value: the
+// injector holds its one pending request's destination, stamp and
+// sequence number, and posts the request callback bound in Card.Start.
 // A waiter records the requesting card, not a closure: the injector is
 // the only caller of creditAcquire, so a grant always runs the card's
-// injector continuation, bound once per card, as its last action. Taking,
-// queueing, granting and releasing a credit allocate nothing; only the
-// sharded request post carries a closure.
+// injector continuation, bound once per card, as its last action.
 type creditLedger struct {
 	// freeAt holds one entry per free credit: the time it became free
 	// (zero for the initial pool). Order is immaterial; take picks the
@@ -133,31 +129,20 @@ func (l *creditLedger) release(at sim.Time) (w creditWaiter, grant sim.Time, ok 
 	return w, at, true
 }
 
-// creditAcquire takes one RX credit of dest for the packet this card's
-// injector is about to inject. It reports true when the credit is granted
-// at once, so the injector continues; otherwise the grant runs the
-// injector's continuation. Serial worlds run the ledger inline; sharded
-// worlds run the message protocol above.
-func (c *Card) creditAcquire(dest *Card) bool {
-	t := c.Eng.Now()
-	seq := c.creditSeq
+// creditAcquire posts this card's injector's request for one RX credit
+// of dest, for the packet it is about to inject; the grant runs the
+// injector's continuation. The injector has at most one request out and
+// touches none of its fields until the grant runs, and the barrier
+// orders these writes before dest's shard reads them.
+func (c *Card) creditAcquire(dest *Card) {
+	in := &c.inj
+	in.reqT, in.reqSeq = c.Eng.Now(), c.creditSeq
 	c.creditSeq++
-	if c.Net.sharded {
-		c.Eng.Post(dest.Eng.Shard(), t, true, func() { dest.creditRequest(c, t, seq) })
-		return false
-	}
-	if at, ok := dest.ledger.take(t); ok {
-		// Serial releases are stamped now and requests carry now, so an
-		// inline grant can never lie in the future: the injector
-		// continues at t with zero events spent.
-		return c.waitUntil(at, c.inj.run)
-	}
-	dest.ledger.wait(creditWaiter{t: t, card: c, seq: seq})
-	return false
+	c.Eng.Post(dest.Eng.Shard(), in.reqT, true, in.request)
 }
 
-// creditRequest serves card from's sharded request, stamped t, on this
-// card's shard: granted at once from the pool, or queued until a release.
+// creditRequest serves card from's request, stamped t, on this card's
+// shard: granted at once from the pool, or queued until a release.
 func (c *Card) creditRequest(from *Card, t sim.Time, seq uint64) {
 	if at, ok := c.ledger.take(t); ok {
 		c.grantCredit(from, t, at)
@@ -172,14 +157,7 @@ func (c *Card) creditRequest(from *Card, t sim.Time, seq uint64) {
 // bookkeeping only. It runs on this card's shard.
 func (c *Card) grantCredit(to *Card, t, at sim.Time) {
 	blocked := at > t
-	switch {
-	case c.Net.sharded:
-		c.Eng.Post(to.Eng.Shard(), at, !blocked, to.inj.run)
-	case blocked:
-		to.Eng.At(at, to.inj.run)
-	default:
-		to.Eng.AtInfra(at, to.inj.run)
-	}
+	c.Eng.Post(to.Eng.Shard(), at, !blocked, to.inj.run)
 }
 
 // creditRelease returns one RX credit of this card at time at, granting

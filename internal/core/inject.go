@@ -26,7 +26,12 @@ type injector struct {
 	injT       sim.Time
 	dec        route.Decision
 	start, end sim.Time
-	run        func() // stepInjector, bound once in Start
+	// reqT and reqSeq are the stamp and sequence number of the pending
+	// credit request toward dest; request posts it (see credit.go).
+	reqT    sim.Time
+	reqSeq  uint64
+	run     func() // stepInjector, bound once in Start
+	request func() // dest.creditRequest, bound once in Start
 }
 
 // injState names the injector's next step.
@@ -72,7 +77,8 @@ func (c *Card) injStep() bool {
 		// Link-level flow control: wait for receive buffering at the
 		// destination before injecting.
 		in.state = injCredit
-		return c.creditAcquire(in.dest)
+		c.creditAcquire(in.dest)
+		return false
 	case injCredit:
 		if in.dest == c {
 			_, in.end = c.loopCh.ReserveRaw(c.Eng.Now(), in.wire)

@@ -44,18 +44,11 @@ type Network struct {
 
 	// linkDown holds the directed links marked out of service; stateEpoch
 	// increments on every change so routers can invalidate reachability
-	// caches.
+	// caches. linkDown is one shared map: in a multi-shard group it only
+	// changes while the group is idle (SetLinkState enforces this), so
+	// shard workers read it without synchronization.
 	linkDown   map[linkKey]bool
 	stateEpoch uint64
-
-	// sharded is set when the cards registered on this torus live on the
-	// shards of a sim.Group. Each directed link's channel is owned by the
-	// engine of its source node; serial or sharded, every hop is booked on
-	// that engine at the packet's arrival time (see forwardOrdered), so no
-	// engine touches a foreign calendar. linkDown stays a single shared
-	// map: it only changes while the group is idle (SetLinkState enforces
-	// this), so shard workers read it without synchronization.
-	sharded bool
 }
 
 type linkKey struct {
@@ -97,9 +90,21 @@ func (s LinkStat) Utilization(now sim.Time) float64 {
 // NewNetwork creates an empty torus of the given dimensions. Link
 // bandwidth and hop latency default from cfg but can differ per network
 // (the paper uses both 28 Gbps and 20 Gbps link configurations).
+//
+// Cards talk to each other only through the cross-shard protocol of a
+// sim.Group — credit requests and grants, deliveries, hop bookings and
+// the loss tail are posts — so an engine outside a group joins a
+// one-shard group here, with the hop latency as lookahead. The same
+// protocol then runs at every shard count. Each directed link's channel
+// is owned by the engine of its source node, and every hop is booked on
+// that engine at the packet's arrival time (see forwardOrdered), so no
+// engine touches a foreign calendar.
 func NewNetwork(eng *sim.Engine, dims torus.Dims, linkBW units.Bandwidth, hopLat sim.Duration) *Network {
 	if !dims.Valid() {
 		panic("core: invalid torus dimensions")
+	}
+	if eng.Group() == nil {
+		sim.NewGroup(eng, 1, hopLat)
 	}
 	return &Network{
 		Eng:      eng,
@@ -135,14 +140,10 @@ func (n *Network) register(c *Card) {
 	}
 	c.Rank = rank
 	n.cards[rank] = c
-	if c.Eng.Group() != nil {
-		n.sharded = true
-	}
 	for d := torus.Dir(0); d < torus.NumDirs; d++ {
 		name := fmt.Sprintf("torus.%d.%s", rank, d)
-		// The card's own engine owns its outgoing links: identical to the
-		// network engine when serial, the card's shard when sharded (every
-		// booking on the link then happens on that shard's worker).
+		// The card's own engine, its shard, owns its outgoing links: every
+		// booking on the link happens on that shard.
 		n.links[n.linkIndex(rank, d)] = pcie.NewChannel(c.Eng, name, n.linkBW)
 	}
 }
@@ -221,7 +222,7 @@ func (n *Network) traceHop(rec *trace.Recorder, pkt *Packet, fromRank int, dec r
 // hopKey returns the pure tie key for one packet's hop bookings: packed
 // (injecting rank, per-card packet seq), non-zero by construction. Two
 // bookings that land on the same link at the same time execute in key
-// order on every engine layout, serial or sharded.
+// order at every shard count.
 func (c *Card) hopKey() uint64 {
 	c.orderSeq++
 	return uint64(c.Rank+1)<<32 | (c.orderSeq & 0xffffffff)
@@ -237,11 +238,11 @@ func (c *Card) hopKey() uint64 {
 // on a shared link execute in key order. Arrival order is a pure
 // function of the model (stamps and the (rank, seq) key, never of which
 // engine executes what), which is what makes a group's results
-// invariant in the shard count. Serially the events chain through the
-// one heap; sharded they chain through keyed posts to each hop's owning
-// shard, stamped a full hop latency ahead of the posting clock
-// (coll.NewWorld refuses groups without one), so they are never
-// ingested retroactively.
+// invariant in the shard count. Within a shard the events chain through
+// its heap; across shards they chain through keyed posts to each hop's
+// owning shard, stamped a full hop latency ahead of the posting clock
+// (Config.Validate refuses a configuration without one), so they are
+// never ingested retroactively.
 //
 // The packet carries its in-flight state — the node it is at and its
 // key — and its event callbacks: the hop callback, bound here on its
@@ -293,7 +294,7 @@ func (n *Network) orderedHop(pkt *Packet) {
 
 // scheduleHop schedules a packet's keyed hop booking on its owning
 // engine: a keyed infra event when the owner is the executing engine
-// (always, when serial), a keyed post otherwise.
+// (always, on one shard), a keyed post otherwise.
 func (n *Network) scheduleHop(eng, owner *sim.Engine, t sim.Time, pkt *Packet) {
 	if owner == eng {
 		eng.AtInfraKeyed(t, pkt.key, pkt.hop)
@@ -303,9 +304,9 @@ func (n *Network) scheduleHop(eng, owner *sim.Engine, t sim.Time, pkt *Packet) {
 }
 
 // deliverOrdered schedules the packet's delivery into the destination's
-// RX queue as one counted event at the computed arrival time. In a group
-// the delivery is always a post — even to the executing shard — so that
-// its merge position relative to same-time events is a function of the
+// RX queue as one counted event at the computed arrival time. The
+// delivery is always a post — even to the executing shard — so that its
+// merge position relative to same-time events is a function of the
 // round structure alone, never of whether source and destination happen
 // to share a shard at this shard count; packets arriving at one card at
 // the same time queue in hop-key order, whichever shards sent them.
@@ -313,20 +314,16 @@ func (n *Network) deliverOrdered(eng *sim.Engine, dest *Card, arrival sim.Time, 
 	if pkt.deliver == nil {
 		pkt.deliver = func() { dest.rxQ.TryPut(pkt) }
 	}
-	if !n.sharded {
-		eng.At(arrival, pkt.deliver)
-		return
-	}
 	eng.PostTied(dest.Eng.Shard(), arrival, pkt.key, pkt.deliver)
 }
 
 // onCard runs fn against card c's state at time t from an event executing
-// on behalf of card self: inline when c is self or the torus is serial,
-// otherwise as an infra post to c's shard — even when both cards share a
-// shard at this shard count, so the events a group executes, and with
-// them its round structure, are the same at every shard count.
+// on behalf of card self: inline when c is self, otherwise as an infra
+// post to c's shard — even when both cards share a shard at this shard
+// count, so the events a group executes, and with them its round
+// structure, are the same at every shard count.
 func onCard(self, c *Card, t sim.Time, fn func()) {
-	if c == self || !c.Net.sharded {
+	if c == self {
 		fn()
 		return
 	}
@@ -358,11 +355,12 @@ func (n *Network) SetLinkState(id LinkID, up bool) {
 	if !n.Dims.Contains(id.Coord) || id.Dir < 0 || id.Dir >= torus.NumDirs {
 		panic(fmt.Sprintf("core: bad link %v in torus %v", id, n.Dims))
 	}
-	if g := n.Eng.Group(); g != nil && g.Running() {
+	if g := n.Eng.Group(); g.Shards() > 1 && g.Running() {
 		// Shard workers read linkDown without locks; state may only change
-		// while the group is idle (between Run calls, like the degraded-
-		// routing experiments already do).
-		panic("core: SetLinkState while the sharded group is running")
+		// while a multi-shard group is idle (between Run calls, like the
+		// degraded-routing experiments already do). A one-shard group has
+		// no worker, so an event may cut a link mid-run.
+		panic("core: SetLinkState while a multi-shard group is running")
 	}
 	key := linkKey{n.Dims.Rank(id.Coord), id.Dir}
 	if n.linkDown[key] == !up {
@@ -497,11 +495,10 @@ func (n *Network) TraceLinkStats(rec *trace.Recorder) {
 	if !rec.Enabled() {
 		return
 	}
-	// WorkEnd, not Now: a traced run's telemetry sampler leaves a trailing
-	// infra tick past the last real event, and the snapshot must carry the
-	// same timestamp (and utilization denominator) whether or not a
-	// sampler ran — that keeps traced captures byte-identical across
-	// engine layouts.
+	// WorkEnd, not Now: the snapshot carries the time (and utilization
+	// denominator) of the last real event, whatever infra bookkeeping ran
+	// after it — that keeps traced captures byte-identical across shard
+	// counts.
 	now := n.Eng.WorkEnd()
 	for _, s := range n.LinkStats() {
 		rec.Emit(now, "torus."+s.Name(), "link_stats", s.WireBytes,

@@ -227,9 +227,9 @@ func (c *Card) rxDeliver(pkt *Packet) {
 // rxWireLoss accounts bytes of a job that were lost on the wire toward
 // this card — the sender's injector found no usable link — and retires
 // the job if its last byte has now been seen, so receivers are never
-// left waiting on packets that can no longer arrive. Serially it runs in
-// the sender's injector context (one engine serializes both cards);
-// sharded, the loss is posted to this card's own shard first. A lost GET control message
+// left waiting on packets that can no longer arrive. It runs on this
+// card's own shard: the loss tail posts it here unless the loss was
+// found on this card (see accountLostPacket). A lost GET control message
 // has no progress to track; it immediately fails the requester's
 // outstanding entry instead (GET data replies use the normal progress
 // accounting and fail on retire).

@@ -23,7 +23,7 @@ func apeWorld(t *testing.T, n int, mode P2PMode) (*sim.Engine, []*APEnetComm, fu
 		close(done)
 	})
 	// Run boot events now.
-	eng.RunUntil(eng.Now().Add(sim.Second))
+	eng.Run()
 	<-done
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,12 @@ import (
 // books per 4 KB packet, each train continuing the last one's pacing. The
 // clock moves to each train's first request, so the calendar holds about
 // one train, as a card's upstream channel does.
+//
+// steady-near-cap keeps about 1000 live intervals in an array of cap
+// 1024: each op moves the clock one burst on, expiring the oldest
+// interval, and books a burst 1000 slots ahead. The array fills with a
+// dead prefix of a few dozen intervals, the case where compacting every
+// full array would copy the whole live calendar every few bookings.
 func BenchmarkChannelReserve(b *testing.B) {
 	b.Run("hot-tail", func(b *testing.B) {
 		eng := sim.New()
@@ -58,6 +64,19 @@ func BenchmarkChannelReserve(b *testing.B) {
 			}
 			c.reserveRawTrain(at[:], ReadRequestTLP)
 			from = from.Add(sim.Duration(len(at)) * 80 * sim.Nanosecond)
+		}
+	})
+	b.Run("steady-near-cap", func(b *testing.B) {
+		eng := sim.New()
+		c := NewChannel(eng, "c", 4000*units.MBps)
+		c.busy = make([]interval, 0, 1024)
+		const live, slot = 1000, 20 * sim.Nanosecond
+		now := sim.Time(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.RunUntil(now)
+			c.reserve(now.Add(live*slot), 10*sim.Nanosecond)
+			now = now.Add(slot)
 		}
 	})
 }

@@ -311,3 +311,54 @@ func TestStreamMatchesChunkByChunk(t *testing.T) {
 		}
 	}
 }
+
+// TestFullCalendarReclaimsDeadPrefix pins that a calendar whose coming
+// bookings would overflow its full array while busy[:head] still holds
+// expired intervals, a third of the array or more, reclaims that
+// prefix instead of growing the array — for a booking appended at the
+// tail, one inserted into a gap, and a train that needs more than the one
+// free slot — while a smaller dead prefix lets the array grow rather than
+// copy the live calendar on every booking that finds it full. Either way
+// the live calendar is unchanged by the move.
+func TestFullCalendarReclaimsDeadPrefix(t *testing.T) {
+	ns := func(n int) sim.Time { return sim.Time(sim.Duration(n) * sim.Nanosecond) }
+	d := 5 * sim.Nanosecond
+	for _, tc := range []struct {
+		name    string
+		n       int      // 10 ns bursts booked 20 ns apart in an array of cap 8
+		now     sim.Time // expires the bursts that ended by then
+		book    func(ch *Channel)
+		wantCap int
+		want    []interval
+	}{
+		{"tail", 8, ns(75), func(ch *Channel) { ch.reserve(ns(200), d) }, 8, []interval{
+			{ns(80), ns(90)}, {ns(100), ns(110)}, {ns(120), ns(130)}, {ns(140), ns(150)}, {ns(200), ns(205)}}},
+		{"gap", 8, ns(75), func(ch *Channel) { ch.reserve(ns(80), d) }, 8, []interval{
+			{ns(80), ns(95)}, {ns(100), ns(110)}, {ns(120), ns(130)}, {ns(140), ns(150)}}},
+		{"train", 7, ns(55), func(ch *Channel) { ch.train([]sim.Time{ns(200), ns(220), ns(240)}, d) }, 8, []interval{
+			{ns(60), ns(70)}, {ns(80), ns(90)}, {ns(100), ns(110)}, {ns(120), ns(130)},
+			{ns(200), ns(205)}, {ns(220), ns(225)}, {ns(240), ns(245)}}},
+		{"sliver", 8, ns(15), func(ch *Channel) { ch.reserve(ns(200), d) }, 16, []interval{
+			{ns(20), ns(30)}, {ns(40), ns(50)}, {ns(60), ns(70)}, {ns(80), ns(90)},
+			{ns(100), ns(110)}, {ns(120), ns(130)}, {ns(140), ns(150)}, {ns(200), ns(205)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			ch := NewChannel(eng, "ch", 4000*units.MBps)
+			// The dead prefix never outnumbers the live part, so only the
+			// full array can make prune compact.
+			ch.busy = make([]interval, tc.n, 8)
+			for i := range ch.busy {
+				ch.busy[i] = interval{ns(20 * i), ns(20*i + 10)}
+			}
+			eng.RunUntil(tc.now)
+			tc.book(ch)
+			if got := cap(ch.busy); got != tc.wantCap {
+				t.Errorf("array cap %d, want %d", got, tc.wantCap)
+			}
+			if got := ch.busy[ch.head:]; fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("live calendar %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

@@ -159,7 +159,7 @@ func (c *Channel) reserve(from sim.Time, d sim.Duration) (start, end sim.Time) {
 	if d <= 0 {
 		return from, from
 	}
-	c.prune()
+	c.prune(1)
 	c.busyTime += d
 	if c.pastTail(from) {
 		end = from.Add(d)
@@ -185,7 +185,7 @@ func (c *Channel) train(at []sim.Time, d sim.Duration) {
 		}
 		return
 	}
-	c.prune()
+	c.prune(len(at))
 	c.busyTime += sim.Duration(len(at)) * d
 	for i, from := range at {
 		if from < now {
@@ -237,16 +237,19 @@ func (c *Channel) coalesce(i int) {
 // reservation can be placed there anymore. Dropping is lazy — the head
 // index advances past expired entries and the backing array is compacted
 // only once the dead prefix dominates, keeping steady-state reservation
-// free of per-call copying.
-func (c *Channel) prune() {
+// free of per-call copying. A full array that the coming bookings, at
+// most one interval each, would grow compacts earlier, once its dead
+// prefix is a third of it: reclaiming that prefix beats growing, and
+// each such compaction frees a third of the array, so it copies at most
+// two live intervals per booking, amortized. A smaller dead prefix lets
+// the array grow.
+func (c *Channel) prune(bookings int) {
 	now := c.eng.PruneHorizon()
-	live := c.busy[c.head:]
-	if len(live) == 0 || live[0].end > now {
-		return // nothing expired: the overwhelmingly common case
+	if live := c.busy[c.head:]; len(live) > 0 && live[0].end <= now {
+		c.head += sort.Search(len(live), func(i int) bool { return live[i].end > now })
 	}
-	k := sort.Search(len(live), func(i int) bool { return live[i].end > now })
-	c.head += k
-	if c.head > len(c.busy)-c.head {
+	full := len(c.busy)+bookings > cap(c.busy)
+	if c.head > len(c.busy)-c.head || full && 3*c.head >= len(c.busy) {
 		c.compact()
 	}
 }

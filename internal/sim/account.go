@@ -59,8 +59,8 @@ func (a *Account) PeakPending() uint64 {
 }
 
 // ShardRounds returns the total conservative windows run by attached
-// sharded Groups, and the sum over those windows of shards that executed
-// events. Zero on purely serial runs.
+// multi-shard Groups, and the sum over those windows of shards that
+// executed events. Zero on runs of one shard.
 func (a *Account) ShardRounds() (rounds, busyShardRounds uint64) {
 	if a == nil {
 		return 0, 0

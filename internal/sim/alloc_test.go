@@ -21,7 +21,6 @@ func TestStepAllocFree(t *testing.T) {
 	}{
 		{"At", func(eng *Engine, fn func()) { eng.At(eng.Now().Add(Microsecond), fn) }},
 		{"After", func(eng *Engine, fn func()) { eng.After(Microsecond, fn) }},
-		{"AtInfra", func(eng *Engine, fn func()) { eng.AtInfra(eng.Now().Add(Microsecond), fn) }},
 		{"AtInfraKeyed", func(eng *Engine, fn func()) { eng.AtInfraKeyed(eng.Now().Add(Microsecond), 1, fn) }},
 	}
 	for _, c := range cases {
@@ -88,6 +87,33 @@ func TestGroupRoundAllocFree(t *testing.T) {
 	}
 }
 
+// TestOneShardRoundAllocFree pins the inline barrier of a one-shard
+// group: a run of rounds that each ingest one self-post and execute it
+// allocates nothing once the outbox slab and heap have grown.
+func TestOneShardRoundAllocFree(t *testing.T) {
+	eng := New()
+	NewGroup(eng, 1, Microsecond)
+	left := 0
+	var tick func()
+	tick = func() {
+		if left > 0 {
+			left--
+			eng.Post(0, eng.Now().Add(Microsecond), true, tick)
+		}
+	}
+	run := func() {
+		left = 16
+		eng.Post(0, eng.Now(), true, tick)
+		eng.Run()
+	}
+	for i := 0; i < 4; i++ { // warm slab and heap
+		run()
+	}
+	if allocs := testing.AllocsPerRun(64, run); allocs != 0 {
+		t.Errorf("a 17-round one-shard run allocated %.1f objects, want 0", allocs)
+	}
+}
+
 // TestWakeAllocFree pins allocation-free wakes: once the heap array and
 // waiter queues have grown, a RunUntil window in which a blocked proc is
 // woken — by its Sleep event, a Signal Broadcast or Pulse, a Semaphore
@@ -97,15 +123,15 @@ func TestGroupRoundAllocFree(t *testing.T) {
 // closure, waiter queues reuse their arrays, and blocking stores its
 // reason without formatting it.
 func TestWakeAllocFree(t *testing.T) {
-	// ticker reschedules fn every microsecond as infra bookkeeping, which
-	// TestStepAllocFree already pins alloc-free.
+	// ticker reschedules fn every microsecond as keyed infra bookkeeping,
+	// which TestStepAllocFree already pins alloc-free.
 	ticker := func(eng *Engine, fn func()) {
 		var tick func()
 		tick = func() {
 			fn()
-			eng.AtInfra(eng.Now().Add(Microsecond), tick)
+			eng.AtInfraKeyed(eng.Now().Add(Microsecond), 1, tick)
 		}
-		eng.AtInfra(eng.Now().Add(Microsecond), tick)
+		eng.AtInfraKeyed(eng.Now().Add(Microsecond), 1, tick)
 	}
 	cases := []struct {
 		name  string

@@ -76,7 +76,8 @@ func eventLess(a, b *event) bool {
 // the resumed proc with one channel send. The loop returns to the driver
 // only when the window closes, a proc exits, or something panics; the
 // driver then re-raises the panic, an event callback's with its original
-// value and a proc's wrapped with the proc's name.
+// value and a proc's wrapped with the proc's name. A running one-shard
+// group's loop crosses the round barriers itself (see Group).
 type Engine struct {
 	now     Time
 	workEnd Time // time of the last executed non-infra event
@@ -137,8 +138,7 @@ func (e *Engine) Steps() uint64 { return e.nsteps }
 
 // WorkEnd returns the time of the last executed non-infra event — the
 // simulation's natural end. Unlike Now, it is unaffected by trailing
-// infrastructure bookkeeping (e.g. a telemetry sampler tick that rounds
-// the clock up past the last real event).
+// infrastructure bookkeeping that runs after the last real event.
 func (e *Engine) WorkEnd() Time { return e.workEnd }
 
 // PeakPending returns the largest number of simultaneously queued events
@@ -160,19 +160,14 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
-// AtInfra schedules fn at absolute time t as infrastructure bookkeeping:
-// it executes like any event but is excluded from the step count (the
-// serial-engine counterpart of an infra Post).
-func (e *Engine) AtInfra(t Time, fn func()) {
-	e.schedule(&event{t: t, fn: fn, infra: true})
-}
-
-// AtInfraKeyed is AtInfra with a model-level tie key: at equal time,
-// keyed events execute after every unkeyed event and among themselves
-// in ascending key order. The key must be a pure function of model
-// state (e.g. packed (card rank, packet seq)), never of scheduling —
-// that is what lets a serial heap and a sharded mailbox merge agree on
-// the order of same-time calendar bookings.
+// AtInfraKeyed schedules fn at absolute time t as infrastructure
+// bookkeeping with a model-level tie key: it executes like any event but
+// is excluded from the step count, and at equal time keyed events
+// execute after every unkeyed event and among themselves in ascending
+// key order. The key must be a pure function of model state (e.g.
+// packed (card rank, packet seq)), never of scheduling — that is what
+// lets a local schedule and a cross-shard PostKeyed agree on the order
+// of same-time calendar bookings.
 func (e *Engine) AtInfraKeyed(t Time, key uint64, fn func()) {
 	e.schedule(&event{t: t, fn: fn, order: key, class: keyed, infra: true})
 }
@@ -246,14 +241,26 @@ func (e *Engine) handOff(p *Proc) {
 }
 
 // next executes the window's events until one resumes a proc and returns
-// that proc, or nil once the window has no event left.
+// that proc, or nil once the window has no event left — where a running
+// one-shard group instead takes the barrier step and runs the next window.
 func (e *Engine) next() *Proc {
-	for len(e.heap) > 0 && e.heap[0].t <= e.until {
-		if p := e.exec(); p != nil {
-			return p
+	for {
+		for len(e.heap) > 0 && e.heap[0].t <= e.until {
+			if p := e.exec(); p != nil {
+				return p
+			}
 		}
+		g := e.group
+		if g == nil || !g.inline {
+			return nil
+		}
+		horizon, ok := g.barrier()
+		if !ok {
+			g.inline = false
+			return nil
+		}
+		e.until = horizon - 1
 	}
-	return nil
 }
 
 // loop is next run by a blocked proc. A panic raised by an event
@@ -375,16 +382,17 @@ func (e *Engine) shutdownLocal() {
 	e.flushAccount()
 }
 
-// Shard returns this engine's index within its Group (0 when serial).
+// Shard returns this engine's index within its Group (0 outside one).
 func (e *Engine) Shard() int { return e.shard }
 
 // PruneHorizon returns the latest time before which expired state (like
 // calendar reservations that already ended) can safely be discarded. For
-// a serial engine that is simply now: nothing books in the past. A
-// sharded engine's clock may rewind when a late-lane message executes
-// retroactively, and the retroactively resumed code may book calendar
-// time below the shard's previous clock — but never below the group's
-// round floor, so pruning is clamped there instead.
+// an engine outside a group that is simply now: nothing books in the
+// past. In a group of any shard count, one included, an engine's clock
+// may rewind when a late-lane message executes retroactively, and the
+// retroactively resumed code may book calendar time below the shard's
+// previous clock — but never below the group's round floor, so pruning
+// is clamped there instead.
 func (e *Engine) PruneHorizon() Time {
 	if e.group != nil && e.group.floor < e.now {
 		return e.group.floor
@@ -392,7 +400,7 @@ func (e *Engine) PruneHorizon() Time {
 	return e.now
 }
 
-// Group returns the Group this engine belongs to, or nil when serial.
+// Group returns the Group this engine belongs to, or nil.
 func (e *Engine) Group() *Group { return e.group }
 
 // The heap is a binary min-heap of event values under eventLess. push

@@ -2,8 +2,8 @@ package sim
 
 import "fmt"
 
-// Group runs several engines — shards of one simulation — in parallel
-// under a conservative parallel-discrete-event protocol.
+// Group runs one or more engines — shards of one simulation — in
+// parallel under a conservative parallel-discrete-event protocol.
 //
 // The simulation is partitioned so that every model component (card,
 // proc, link calendar) lives on exactly one shard, and all interaction
@@ -16,6 +16,12 @@ import "fmt"
 //  3. set the horizon H = minNext + lookahead,
 //  4. in parallel, each shard executes its own events with t < H,
 //  5. repeat until every heap and mailbox is empty.
+//
+// A multi-shard group runs each shard's window on a persistent worker
+// goroutine, coordinated from Run. A one-shard group, which runs the
+// same protocol on a single engine, has no worker: its event loop takes
+// the barrier step itself whenever its window runs dry, so a round costs
+// no goroutine switch. Both take the same step (barrier).
 //
 // The lookahead is the minimum latency of any cross-shard interaction
 // (for a torus: the cable hop latency), so a message generated inside a
@@ -44,24 +50,33 @@ type Group struct {
 	// read it, with the barrier providing the happens-before edge.
 	floor Time
 
-	// Persistent shard workers. A multi-million-round run parks one
-	// long-lived goroutine per shard on its work channel instead of
-	// spawning shards×rounds goroutines: the coordinator hands each busy
-	// shard the round's horizon, the worker drains its heap up to it and
-	// reports on done. The channel operations carry the happens-before
-	// edges the per-round sync.WaitGroup used to provide (coordinator →
-	// worker on send, worker → coordinator on done).
+	// rounds and busyShardRounds count the current run's windows and, summed
+	// over them, the shards with events in the window (see
+	// Account.ShardRounds).
+	rounds, busyShardRounds uint64
+
+	// Persistent shard workers of a multi-shard group. A multi-million-
+	// round run parks one long-lived goroutine per shard on its work
+	// channel instead of spawning shards×rounds goroutines: the
+	// coordinator hands each busy shard the round's horizon, the worker
+	// drains its heap up to it and reports on done. The channel operations
+	// carry the happens-before edges between coordinator and workers.
 	work      []chan Time
 	done      chan struct{}
 	workersUp bool
+	// inline is set while a one-shard group runs: its loop, on the driver
+	// or on a blocked proc, takes each barrier step (see Engine.next).
+	inline bool
 
-	// OnRound, when set, is called at the end of every round — after all
-	// activated workers have drained back through done, so the callback
-	// runs in coordinator context with every shard parked and cross-shard
-	// reads safe. floor is the round's minNext (the global lower bound on
-	// any remaining event stamp) and busy[i] reports whether shard i had
-	// work this round. The busy slice is reused across rounds; callers
-	// must not retain it. Set it before Run; the group never writes it.
+	// OnRound, when set, is called at the end of every round, at the
+	// barrier: with every shard parked, so cross-shard reads are safe.
+	// A multi-shard group calls it on the coordinator once every activated
+	// worker has drained; a one-shard group calls it on the goroutine that
+	// holds its loop, between two events. floor is the round's minNext
+	// (the global lower bound on any remaining event stamp) and busy[i]
+	// reports whether shard i had work this round. The busy slice is
+	// reused across rounds; callers must not retain it. Set it before Run;
+	// the group never writes it.
 	OnRound func(floor Time, busy []bool)
 
 	busyFlags []bool // reused per-round scratch handed to OnRound
@@ -113,7 +128,8 @@ func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 
 // Running reports whether the group is mid-run. Mutations that must not
 // race with workers (fault injection, topology changes) are only legal
-// while this is false.
+// while a multi-shard group is not running; a one-shard group has no
+// worker.
 func (g *Group) Running() bool { return g.running }
 
 // Post schedules fn at time t on shard dst, ordered by the pure key
@@ -129,7 +145,7 @@ func (e *Engine) Post(dst int, t Time, infra bool, fn func()) {
 // PostKeyed is Post with a model-level tie key (see AtInfraKeyed): the
 // event is infra and executes, at equal time, after every unkeyed event
 // and in key order among keyed ones — the same place AtInfraKeyed puts
-// it on a serial engine. Unlike plain infra posts the stamp must respect
+// it when scheduled locally. Unlike plain infra posts the stamp must respect
 // the group's lookahead (t at least now+lookahead), so keyed events are
 // never ingested retroactively: every shard sees all same-time keyed
 // events before executing any of them.
@@ -200,48 +216,77 @@ func (g *Group) worker(i int) {
 	}
 }
 
-// run executes the whole group until every heap and mailbox drains.
+// barrier is the step between two rounds, the one both execution paths
+// take: the coordinator of a multi-shard group, and the loop of a
+// one-shard group when its window runs dry. It reports the round just
+// run to OnRound, ingests every mailbox, and opens the next round: floor
+// becomes the earliest pending stamp, busyFlags marks the shards with
+// events before the returned horizon, and the round is counted. ok is
+// false once every heap and mailbox is empty.
+func (g *Group) barrier() (horizon Time, ok bool) {
+	if g.rounds > 0 && g.OnRound != nil {
+		g.OnRound(g.floor, g.busyFlags)
+	}
+	g.ingest()
+	floor, ok := g.minPending()
+	if !ok {
+		return 0, false
+	}
+	g.floor = floor
+	horizon = floor.Add(g.lookahead)
+	// Window statistics: the busy-shard count per round is the run's
+	// parallel occupancy, the deterministic ceiling on multi-core
+	// speedup (see Account.ShardRounds).
+	g.rounds++
+	for i, e := range g.engines {
+		busy := len(e.heap) > 0 && e.heap[0].t < horizon
+		g.busyFlags[i] = busy
+		if busy {
+			g.busyShardRounds++
+		}
+	}
+	return horizon, true
+}
+
+// run executes the whole group until every heap and mailbox drains. A
+// one-shard group runs its loop on the calling goroutine from a closed
+// window, so its first barrier opens the first round; a multi-shard
+// group hands each round's busy shards to their workers.
 func (g *Group) run() {
-	if !g.workersUp {
-		g.startWorkers()
-	}
-	g.running = true
-	var rounds, busyShardRounds uint64
-	for {
-		g.ingest()
-		minNext, ok := g.minPending()
-		if !ok {
-			break
+	g.running, g.rounds, g.busyShardRounds = true, 0, 0
+	// A panic out of the loop must not leave the group taking barrier
+	// steps, or Shutdown's closed window would run events.
+	defer func() { g.running, g.inline = false, false }()
+	if len(g.engines) == 1 {
+		g.inline = true
+		g.engines[0].drive(closed)
+	} else {
+		if !g.workersUp {
+			g.startWorkers()
 		}
-		g.floor = minNext
-		horizon := minNext.Add(g.lookahead)
-		active := 0
-		for i, e := range g.engines {
-			if len(e.heap) == 0 || e.heap[0].t >= horizon {
-				g.busyFlags[i] = false
-				continue
+		for {
+			horizon, ok := g.barrier()
+			if !ok {
+				break
 			}
-			g.busyFlags[i] = true
-			active++
-			g.work[i] <- horizon
+			active := 0
+			for i, busy := range g.busyFlags {
+				if busy {
+					g.work[i] <- horizon
+					active++
+				}
+			}
+			for ; active > 0; active-- {
+				<-g.done
+			}
 		}
-		// Window statistics: the busy-shard count per round is the run's
-		// parallel occupancy, the deterministic ceiling on multi-core
-		// speedup (see Account.ShardRounds).
-		rounds++
-		busyShardRounds += uint64(active)
-		for ; active > 0; active-- {
-			<-g.done
-		}
-		if g.OnRound != nil {
-			g.OnRound(minNext, g.busyFlags)
-		}
+		// Only a multi-shard group reports its windows: on one shard
+		// every round is busy, so the count says nothing of occupancy.
+		g.engines[0].account.addShardRounds(g.rounds, g.busyShardRounds)
 	}
-	g.engines[0].account.addShardRounds(rounds, busyShardRounds)
-	g.running = false
 	// Align every shard's clock to the time of the globally last event.
 	// Timestamps are exact across shard counts, so this is the same final
-	// clock a serial run ends with — post-run reads (link utilization
+	// clock at every shard count — post-run reads (link utilization
 	// denominators, trace stamps) see identical time.
 	var maxNow Time
 	for _, e := range g.engines {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -250,5 +251,86 @@ func TestShardStepAccounting(t *testing.T) {
 	eng.Run()
 	if got := acct.Steps(); got != 2 {
 		t.Fatalf("account has %d steps, want 2 (1 local + 1 counted post; infra excluded)", got)
+	}
+}
+
+// TestOneShardGroupRunsInline pins the one-shard group: it starts no
+// worker, and its loop crosses every round barrier itself — on the
+// driver, and on a blocked proc that holds the loop — with the rounds,
+// OnRound floors, retroactive posts and final clock of shard 0 in a
+// two-shard group whose other shard stays idle. Only the two-shard group
+// reports its rounds to the account.
+func TestOneShardGroupRunsInline(t *testing.T) {
+	type outcome struct {
+		log    []string
+		floors []Time
+		rounds uint64
+		now    Time
+	}
+	run := func(shards int) outcome {
+		var out outcome
+		acct := &Account{}
+		eng := NewWithAccount(acct)
+		defer eng.Shutdown()
+		g := NewGroup(eng, shards, 10*Nanosecond)
+		g.OnRound = func(floor Time, busy []bool) { out.floors = append(out.floors, floor) }
+		eng.Go("poster", func(p *Proc) {
+			for i := 0; i < 4; i++ {
+				at, i := p.Now(), i
+				// Stamped now, ingested at the next barrier: it runs
+				// retroactively, with the clock rewound to its stamp.
+				eng.Post(0, at, true, func() { out.log = append(out.log, fmt.Sprintf("post%d@%v", i, eng.Now())) })
+				p.Sleep(25 * Nanosecond)
+				out.log = append(out.log, fmt.Sprintf("woke@%v", p.Now()))
+			}
+		})
+		eng.At(Time(3*Nanosecond), func() { out.log = append(out.log, "callback") })
+		eng.Run()
+		if g.workersUp != (shards > 1) {
+			t.Errorf("%d shards: workers started = %v", shards, g.workersUp)
+		}
+		if reported, _ := acct.ShardRounds(); (reported != 0) != (shards > 1) {
+			t.Errorf("%d shards: account reports %d rounds", shards, reported)
+		}
+		out.rounds = g.rounds
+		out.now = eng.Now()
+		return out
+	}
+	one, two := run(1), run(2)
+	if one.rounds == 0 || len(one.floors) != int(one.rounds) {
+		t.Fatalf("one shard: %d rounds, %d OnRound calls", one.rounds, len(one.floors))
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("one-shard group differs from shard 0 of two:\n%+v\n%+v", one, two)
+	}
+	if want := Time(100 * Nanosecond); one.now != want {
+		t.Fatalf("final clock %v, want %v", one.now, want)
+	}
+}
+
+// TestOneShardGroupShutdownAfterPanic: a panic out of a one-shard
+// group's Run leaves no barrier step behind, so Shutdown's closed window
+// kills the procs without running another event.
+func TestOneShardGroupShutdownAfterPanic(t *testing.T) {
+	eng := New()
+	NewGroup(eng, 1, 10*Nanosecond)
+	ran := false
+	eng.Go("sleeper", func(p *Proc) {
+		defer p.Sleep(Nanosecond) // blocks during the kill
+		p.Sleep(Microsecond)
+	})
+	eng.At(Time(Nanosecond), func() { panic("boom") })
+	eng.At(Time(2*Nanosecond), func() { ran = true })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the callback's panic", r)
+			}
+		}()
+		eng.Run()
+	}()
+	eng.Shutdown()
+	if ran {
+		t.Fatal("Shutdown after a panicked run executed a pending event")
 	}
 }

@@ -151,7 +151,7 @@ func isShardSeries(name string) bool {
 // ShardLanesSVG renders the per-shard occupancy lanes: one lane per
 // shard<i>.busy series, each sampling interval shaded by the shard's
 // busy-round fraction over it. Returns nil when the capture has no shard
-// series (serial runs).
+// series (runs of one shard).
 func ShardLanesSVG(f *trace.File) []byte {
 	var lanes []timeseries.Series
 	var maxT sim.Time

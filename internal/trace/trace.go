@@ -243,9 +243,8 @@ func SortCanonical(evs []Event) {
 // normally the recorder's Len() before the run whose streams are being
 // merged, so earlier captures (previous worlds recorded into the same
 // recorder, with their own restarting clocks) keep their order. With no
-// streams it canonicalizes the suffix in place, which is how a serial
-// run's capture is normalized to match its sharded twins. Safe on a nil
-// or disabled recorder.
+// streams it canonicalizes the suffix in place. Safe on a nil or
+// disabled recorder.
 func (r *Recorder) MergeCanonical(mark int, streams ...[]Event) {
 	if r == nil || !r.enabled {
 		return
