@@ -26,6 +26,7 @@
 //	apebench -run coll-allreduce -shards 4 -trace-out traces/  # sharded capture, canonically merged
 //	apebench -all -quick -parallel 4 -json out.json
 //	apebench -all -quick -scale -parallel 1 -baseline BENCH_2026-10-19.json -tolerance 0
+//	apebench -run 'fig*,table*' -quick -scale -baseline BENCH_2026-10-19.json -tolerance 0  # the paper exhibits only
 //	apebench -all -quick -json auto   # writes BENCH_<date>.json
 package main
 
@@ -122,7 +123,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	parallel := flag.Int("parallel", 1, "worker count (0 = all CPUs)")
 	jsonOut := flag.String("json", "", "write the run as JSON to this file ('auto' = BENCH_<date>.json)")
-	baseline := flag.String("baseline", "", "diff the run against this JSON report; exit 1 on regressions")
+	baseline := flag.String("baseline", "", "diff the run against this JSON report (with -run, only the selected experiments of it); exit 1 on regressions")
 	tolerance := flag.Float64("tolerance", 0, "per-cell relative tolerance for -baseline, in percent")
 	seed := flag.Int64("seed", 0, "base RNG seed; 0 keeps the paper-default seeds")
 	dimsFlag := flag.String("dims", "", "torus dimensions X,Y,Z for the coll-* experiments (e.g. 8,8,8)")
@@ -309,6 +310,15 @@ func main() {
 				*baseline, base.Quick, base.Seed, base.Dims, base.TLB, base.Router, base.Scale, base.Shards, base.Traced,
 				report.Quick, report.Seed, report.Dims, report.TLB, report.Router, report.Scale, report.Shards, report.Traced)
 			os.Exit(1)
+		}
+		if !*all {
+			// A -run selection is held against the artifact's results for
+			// the same experiments; one it lacks is still listed as new.
+			ids := make([]string, len(todo))
+			for i, e := range todo {
+				ids[i] = e.ID
+			}
+			base = base.Subset(ids)
 		}
 		// Keep stdout parseable in -csv mode; the diff goes to stderr there.
 		diffOut := os.Stdout

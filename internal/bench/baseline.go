@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -59,12 +61,17 @@ type Diff struct {
 	// Neutral holds moved cells in columns with no known better/worse
 	// direction (input axes, dimensionless counters).
 	Neutral []Delta `json:"neutral,omitempty"`
+	// TextChanged lists report titles, notes and meta values that differ:
+	// text that describes the cells, so a change to it is a change to
+	// what the report claims.
+	TextChanged []string `json:"text_changed,omitempty"`
 }
 
 // Clean reports whether the diff shows no regressions: no worsened cells,
-// no lost experiments, and no shape changes.
+// no lost experiments, no shape changes and no changed report text.
 func (d *Diff) Clean() bool {
-	return len(d.Regressions) == 0 && len(d.MissingInCurrent) == 0 && len(d.ShapeChanged) == 0
+	return len(d.Regressions) == 0 && len(d.MissingInCurrent) == 0 && len(d.ShapeChanged) == 0 &&
+		len(d.TextChanged) == 0
 }
 
 // Render formats the diff for the terminal.
@@ -92,6 +99,7 @@ func (d *Diff) Render() string {
 	section("regressions", deltas(d.Regressions))
 	section("improvements", deltas(d.Improvements))
 	section("neutral changes", deltas(d.Neutral))
+	section("text changes", d.TextChanged)
 	if sb.Len() == 0 {
 		fmt.Fprintf(&sb, "no changes beyond %.2f%% tolerance\n", d.TolerancePct)
 	}
@@ -140,6 +148,25 @@ func CompareRuns(cur, base *Run, tolerancePct float64) *Diff {
 	return d
 }
 
+// Subset returns a copy of the run that holds only the results of the
+// given experiment IDs, so that a run of a few experiments compares
+// against an artifact of all of them without listing the rest as
+// missing.
+func (r *Run) Subset(ids []string) *Run {
+	keep := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		keep[id] = true
+	}
+	out := *r
+	out.Results = nil
+	for _, res := range r.Results {
+		if keep[res.ID] {
+			out.Results = append(out.Results, res)
+		}
+	}
+	return &out
+}
+
 func compareResult(d *Diff, cr, br *Result, tol float64) {
 	id := br.ID
 	switch {
@@ -159,6 +186,7 @@ func compareResult(d *Diff, cr, br *Result, tol float64) {
 		}
 		return
 	}
+	compareText(d, id, c, b)
 	if len(b.Header) != len(c.Header) || len(b.Rows) != len(c.Rows) {
 		d.ShapeChanged = append(d.ShapeChanged,
 			fmt.Sprintf("%s: table is %dx%d, baseline %dx%d",
@@ -208,6 +236,49 @@ func compareResult(d *Diff, cr, br *Result, tol float64) {
 			}
 		}
 	}
+}
+
+// compareText lists every difference in the report text around the
+// table: the title, each note by position and each meta key.
+func compareText(d *Diff, id string, c, b *Report) {
+	ct, bt := reportText(c), reportText(b)
+	keys := make([]string, 0, len(ct)+len(bt))
+	for k := range ct {
+		keys = append(keys, k)
+	}
+	for k := range bt {
+		if _, ok := ct[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	quote := func(s string, ok bool) string {
+		if !ok {
+			return "absent"
+		}
+		return strconv.Quote(s)
+	}
+	for _, k := range keys {
+		cv, cok := ct[k]
+		bv, bok := bt[k]
+		if cv != bv || cok != bok {
+			d.TextChanged = append(d.TextChanged,
+				fmt.Sprintf("%s: %s %s, baseline %s", id, k, quote(cv, cok), quote(bv, bok)))
+		}
+	}
+}
+
+// reportText keys a report's title, notes and meta values by what they
+// are: "title", "note <i>", "meta <key>".
+func reportText(r *Report) map[string]string {
+	m := map[string]string{"title": r.Title}
+	for i, n := range r.Notes {
+		m[fmt.Sprintf("note %d", i)] = n
+	}
+	for k, v := range r.Meta {
+		m["meta "+k] = v
+	}
+	return m
 }
 
 // relChangePct is the signed relative change in percent. Any change from

@@ -140,7 +140,8 @@ func (r *Run) SaveJSON(path string) error {
 	return f.Close()
 }
 
-// ReadRun decodes a JSON run report and checks its schema version.
+// ReadRun decodes a JSON run report and checks its schema version and
+// that no experiment ID appears twice, since a diff pairs results by ID.
 func ReadRun(r io.Reader) (*Run, error) {
 	var run Run
 	dec := json.NewDecoder(r)
@@ -150,6 +151,13 @@ func ReadRun(r io.Reader) (*Run, error) {
 	if run.SchemaVersion != SchemaVersion {
 		return nil, fmt.Errorf("bench: run report has schema_version %d, this build reads %d",
 			run.SchemaVersion, SchemaVersion)
+	}
+	seen := make(map[string]bool, len(run.Results))
+	for _, res := range run.Results {
+		if seen[res.ID] {
+			return nil, fmt.Errorf("bench: run report holds experiment %q twice", res.ID)
+		}
+		seen[res.ID] = true
 	}
 	return &run, nil
 }

@@ -63,6 +63,13 @@ func TestReadRunRejectsWrongSchema(t *testing.T) {
 	}
 }
 
+func TestReadRunRejectsDuplicateIDs(t *testing.T) {
+	in := strings.NewReader(`{"schema_version": 1, "results": [{"id": "fig8"}, {"id": "fig8"}]}`)
+	if _, err := ReadRun(in); err == nil || !strings.Contains(err.Error(), `"fig8" twice`) {
+		t.Fatalf("ReadRun accepted a duplicate experiment: %v", err)
+	}
+}
+
 func TestReportValueAndColumns(t *testing.T) {
 	r := sampleRun().Results[0].Report
 	if v := r.Value(0, 1); !v.Numeric || v.Num != 6.3 {
@@ -254,6 +261,66 @@ func TestCompareRunsShapeAndMissing(t *testing.T) {
 	d = CompareRuns(cur, base, 0)
 	if len(d.ShapeChanged) != 1 || d.Clean() {
 		t.Fatalf("new failure not flagged:\n%s", d.Render())
+	}
+}
+
+// Report text around the table is compared too: a changed title, note or
+// meta value is listed under its own heading and fails the gate, while
+// the six cell and coverage categories stay empty.
+func TestCompareRunsText(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(r *Report)
+		want []string
+	}{
+		{"title", func(r *Report) { r.Title = "Half round-trip latency (us)" },
+			[]string{`fig8: title "Half round-trip latency (us)", baseline "Half round-trip latency, us"`}},
+		{"note changed", func(r *Report) { r.Notes[0] = "paper: H-H 6.4 us" },
+			[]string{`fig8: note 0 "paper: H-H 6.4 us", baseline "paper: H-H 6.3 us"`}},
+		{"note added", func(r *Report) { r.Notes = append(r.Notes, "caveat") },
+			[]string{`fig8: note 1 "caveat", baseline absent`}},
+		{"notes removed", func(r *Report) { r.Notes = nil },
+			[]string{`fig8: note 0 absent, baseline "paper: H-H 6.3 us"`}},
+		{"meta value", func(r *Report) { r.Meta["gpu"] = "Kepler K20" },
+			[]string{`fig8: meta gpu "Kepler K20", baseline "Fermi C2050"`}},
+		{"meta keys", func(r *Report) { delete(r.Meta, "gpu"); r.SetMeta("clock", "200") },
+			[]string{`fig8: meta clock "200", baseline absent`, `fig8: meta gpu absent, baseline "Fermi C2050"`}},
+		{"with a shape change", func(r *Report) { r.Title = "t"; r.Rows = r.Rows[:1] },
+			[]string{`fig8: title "t", baseline "Half round-trip latency, us"`}},
+	} {
+		base, cur := sampleRun(), sampleRun()
+		tc.edit(cur.Results[0].Report)
+		d := CompareRuns(cur, base, 0)
+		if !reflect.DeepEqual(d.TextChanged, tc.want) {
+			t.Errorf("%s: text changes %q, want %q", tc.name, d.TextChanged, tc.want)
+		}
+		if d.Clean() || strings.Contains(d.Render(), "no changes") || !strings.Contains(d.Render(), "text changes") {
+			t.Errorf("%s: changed text reads clean:\n%s", tc.name, d.Render())
+		}
+		shape := len(cur.Results[0].Report.Rows) != len(base.Results[0].Report.Rows)
+		if len(d.MissingInCurrent)+len(d.NewInCurrent)+len(d.Regressions)+len(d.Improvements)+len(d.Neutral) > 0 ||
+			(len(d.ShapeChanged) > 0) != shape {
+			t.Errorf("%s: text change leaked into the cell categories:\n%s", tc.name, d.Render())
+		}
+	}
+}
+
+// A run of selected experiments compares against the matching subset of
+// a full artifact; a selected experiment the artifact lacks is listed.
+func TestCompareRunsSubset(t *testing.T) {
+	base := sampleRun()
+	cur := sampleRun()
+	cur.Results = cur.Results[1:2]
+	if d := CompareRuns(cur, base.Subset([]string{"table4"}), 0); !d.Clean() || len(d.NewInCurrent) != 0 {
+		t.Fatalf("one selected experiment against a full artifact:\n%s", d.Render())
+	}
+	if len(base.Subset([]string{"table4"}).Results) != 1 || len(base.Results) != 3 {
+		t.Fatal("Subset must copy the run, not edit it")
+	}
+	cur.Results = append(cur.Results, Result{ID: "fig99", Report: &Report{ID: "fig99"}})
+	d := CompareRuns(cur, base.Subset([]string{"table4", "fig99"}), 0)
+	if !reflect.DeepEqual(d.NewInCurrent, []string{"fig99"}) || len(d.MissingInCurrent) != 0 {
+		t.Fatalf("selected experiment absent from the artifact not listed:\n%s", d.Render())
 	}
 }
 

@@ -67,13 +67,17 @@ type RankState struct {
 	visited []bool
 	front   []int32 // current frontier (owned vertices)
 	next    []int32 // assembled during expand/apply
+	// seen is Expand's per-tile dedup set, one bit per global vertex;
+	// each tile clears the bits it set before the next one starts.
+	seen []uint64
 }
 
 // NewRankState initializes a rank; if the BFS root is owned, it seeds the
 // frontier.
 func NewRankState(g *graph.CSR, part graph.Partition, root int32) *RankState {
 	n := part.Hi - part.Lo
-	st := &RankState{Part: part, G: g, Parent: make([]int32, n), visited: make([]bool, n)}
+	st := &RankState{Part: part, G: g, Parent: make([]int32, n), visited: make([]bool, n),
+		seen: make([]uint64, (g.N+63)/64)}
 	for i := range st.Parent {
 		st.Parent[i] = -1
 	}
@@ -103,18 +107,22 @@ const DedupTile = 256
 // deduplication.
 func (st *RankState) Expand(np int) (out [][]Update, scanned int64) {
 	out = make([][]Update, np)
+	split := graph.NewSplit(st.G.N, np)
+	lo, hi := st.Part.Lo, st.Part.Hi
+	tileStart := make([]int, np) // len(out[o]) when the tile began
 	for tile := 0; tile < len(st.front); tile += DedupTile {
-		hi := tile + DedupTile
-		if hi > len(st.front) {
-			hi = len(st.front)
+		end := tile + DedupTile
+		if end > len(st.front) {
+			end = len(st.front)
 		}
-		seen := map[int32]bool{}
-		for _, u := range st.front[tile:hi] {
+		for o := range out {
+			tileStart[o] = len(out[o])
+		}
+		for _, u := range st.front[tile:end] {
 			for _, v := range st.G.Neighbors(u) {
 				scanned++
-				owner := graph.Owner(st.G.N, np, v)
-				if owner == st.Part.Rank {
-					li := v - st.Part.Lo
+				if v >= lo && v < hi {
+					li := v - lo
 					if !st.visited[li] {
 						st.visited[li] = true
 						st.Parent[li] = u
@@ -122,10 +130,17 @@ func (st *RankState) Expand(np int) (out [][]Update, scanned int64) {
 					}
 					continue
 				}
-				if !seen[v] {
-					seen[v] = true
+				if w, bit := v>>6, uint64(1)<<(v&63); st.seen[w]&bit == 0 {
+					st.seen[w] |= bit
+					owner := split.Owner(v)
 					out[owner] = append(out[owner], Update{V: v, Parent: u})
 				}
+			}
+		}
+		// The tile's set bits are exactly the updates it appended.
+		for o := range out {
+			for _, up := range out[o][tileStart[o]:] {
+				st.seen[up.V>>6] &^= uint64(1) << (up.V & 63)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"apenetsim/internal/graph"
@@ -118,5 +120,138 @@ func TestFig12CommBreakdown(t *testing.T) {
 	}
 	if d := compA/compI - 1; d > 0.05 || d < -0.05 {
 		t.Errorf("compute should match across fabrics: %f vs %f", compA, compI)
+	}
+}
+
+// mapExpand is Expand as it was with a fresh map per dedup tile and a
+// full owner computation per edge, kept verbatim as the reference for
+// its update lists.
+func mapExpand(st *RankState, np int) (out [][]Update, scanned int64) {
+	out = make([][]Update, np)
+	for tile := 0; tile < len(st.front); tile += DedupTile {
+		hi := tile + DedupTile
+		if hi > len(st.front) {
+			hi = len(st.front)
+		}
+		seen := map[int32]bool{}
+		for _, u := range st.front[tile:hi] {
+			for _, v := range st.G.Neighbors(u) {
+				scanned++
+				owner := graph.Owner(st.G.N, np, v)
+				if owner == st.Part.Rank {
+					li := v - st.Part.Lo
+					if !st.visited[li] {
+						st.visited[li] = true
+						st.Parent[li] = u
+						st.next = append(st.next, v)
+					}
+					continue
+				}
+				if !seen[v] {
+					seen[v] = true
+					out[owner] = append(out[owner], Update{V: v, Parent: u})
+				}
+			}
+		}
+	}
+	return out, scanned
+}
+
+// Two copies of every rank traverse side by side, one expanding with
+// Expand and one with mapExpand: every level's update lists must match
+// in order, and so must the scanned counts, frontiers and parents. The
+// vertex counts split unevenly over most rank counts, and the middle
+// levels' frontiers span many dedup tiles.
+func TestExpandMatchesMapDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	odd := &graph.EdgeList{NumVertices: 20011}
+	for e := 0; e < 8*20011; e++ {
+		odd.Src = append(odd.Src, rng.Int31n(20011))
+		odd.Dst = append(odd.Dst, rng.Int31n(20011))
+	}
+	for _, g := range []*graph.CSR{testGraph(14), graph.BuildCSR(odd)} {
+		root := g.MaxDegreeVertex()
+		for np := 1; np <= 8; np++ {
+			parts := graph.Partition1D(g.N, np)
+			got, want := make([]*RankState, np), make([]*RankState, np)
+			for r := range parts {
+				got[r], want[r] = NewRankState(g, parts[r], root), NewRankState(g, parts[r], root)
+			}
+			maxFront := 0
+			for level := 0; ; level++ {
+				gotIn, wantIn := make([][]Update, np), make([][]Update, np)
+				for r := 0; r < np; r++ {
+					if f := want[r].FrontierLen(); f > maxFront {
+						maxFront = f
+					}
+					gotOut, gotScanned := got[r].Expand(np)
+					wantOut, wantScanned := mapExpand(want[r], np)
+					if gotScanned != wantScanned {
+						t.Fatalf("N %d np %d level %d rank %d: scanned %d, want %d", g.N, np, level, r, gotScanned, wantScanned)
+					}
+					for d := 0; d < np; d++ {
+						if !reflect.DeepEqual(gotOut[d], wantOut[d]) {
+							t.Fatalf("N %d np %d level %d: updates %d->%d differ (%d vs %d)",
+								g.N, np, level, r, d, len(gotOut[d]), len(wantOut[d]))
+						}
+						gotIn[d] = append(gotIn[d], gotOut[d]...)
+						wantIn[d] = append(wantIn[d], wantOut[d]...)
+					}
+				}
+				total := 0
+				for r := 0; r < np; r++ {
+					gotN, wantN := got[r].Apply(gotIn[r]), want[r].Apply(wantIn[r])
+					if gotN != wantN || !reflect.DeepEqual(got[r].front, want[r].front) ||
+						!reflect.DeepEqual(got[r].Parent, want[r].Parent) {
+						t.Fatalf("N %d np %d level %d rank %d: frontier %d, want %d, or parents differ",
+							g.N, np, level, r, gotN, wantN)
+					}
+					total += gotN
+				}
+				if total == 0 {
+					break
+				}
+			}
+			if maxFront <= 2*DedupTile {
+				t.Fatalf("N %d np %d: largest frontier %d spans too few dedup tiles", g.N, np, maxFront)
+			}
+		}
+	}
+}
+
+var benchOut [][]Update
+
+// BenchmarkExpand times Expand over a whole traversal of the scale-16
+// graph of the -quick BFS exhibits at 4 ranks (Fig 12's point); set-up
+// and the merge of each level's updates run off the clock.
+func BenchmarkExpand(b *testing.B) {
+	const np = 4
+	g := testGraph(16)
+	root := g.MaxDegreeVertex()
+	parts := graph.Partition1D(g.N, np)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ranks := make([]*RankState, np)
+		for r := range parts {
+			ranks[r] = NewRankState(g, parts[r], root)
+		}
+		for {
+			in := make([][]Update, np)
+			b.StartTimer()
+			for r := 0; r < np; r++ {
+				benchOut, _ = ranks[r].Expand(np)
+				for d := range benchOut {
+					in[d] = append(in[d], benchOut[d]...)
+				}
+			}
+			b.StopTimer()
+			total := 0
+			for r := 0; r < np; r++ {
+				total += ranks[r].Apply(in[r])
+			}
+			if total == 0 {
+				break
+			}
+		}
 	}
 }

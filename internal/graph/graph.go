@@ -43,18 +43,14 @@ func Kronecker(scale, edgefactor int, seed int64) *EdgeList {
 	for e := 0; e < m; e++ {
 		var u, v int32
 		for bit := 0; bit < scale; bit++ {
+			// The draw picks one quadrant: below A neither bit, below
+			// A+B the v bit, below A+B+C the u bit, else both. Three
+			// comparisons set the bits without a branch, which a random
+			// draw would mispredict.
 			r := rng.Float64()
-			switch {
-			case r < ParamA:
-				// both high bits 0
-			case r < ParamA+ParamB:
-				v |= 1 << bit
-			case r < ParamA+ParamB+ParamC:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			a, ab, abc := b2i(r >= ParamA), b2i(r >= ParamA+ParamB), b2i(r >= ParamA+ParamB+ParamC)
+			u |= ab << bit
+			v |= (a ^ ab ^ abc) << bit
 		}
 		el.Src[e], el.Dst[e] = u, v
 	}
@@ -66,6 +62,16 @@ func Kronecker(scale, edgefactor int, seed int64) *EdgeList {
 		el.Dst[e] = int32(perm[el.Dst[e]])
 	}
 	return el
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag
+// set, not a branch.
+func b2i(b bool) int32 {
+	var i int32
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // NumEdges returns the number of input (undirected) edges.
@@ -145,15 +151,28 @@ func Partition1D(n int32, np int) []Partition {
 }
 
 // Owner returns the rank owning vertex v under the same splitting rule.
-func Owner(n int32, np int, v int32) int {
+func Owner(n int32, np int, v int32) int { return NewSplit(n, np).Owner(v) }
+
+// Split is Partition1D's splitting rule for one vertex and rank count,
+// worked out once so that finding an owner costs one division.
+type Split struct {
+	base, rem, cut int32
+}
+
+// NewSplit returns the split of n vertices over np ranks.
+func NewSplit(n int32, np int) Split {
 	base := n / int32(np)
 	rem := n % int32(np)
 	// First `rem` ranks own base+1 vertices.
-	cut := rem * (base + 1)
-	if v < cut {
-		return int(v / (base + 1))
+	return Split{base: base, rem: rem, cut: rem * (base + 1)}
+}
+
+// Owner returns the rank owning vertex v.
+func (s Split) Owner(v int32) int {
+	if v < s.cut {
+		return int(v / (s.base + 1))
 	}
-	return int(rem + (v-cut)/base)
+	return int(s.rem + (v-s.cut)/s.base)
 }
 
 // ValidateBFSTree checks a parent array against the graph, graph500

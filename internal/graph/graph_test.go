@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,71 @@ func TestKroneckerDeterministicAndSized(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical graphs")
+	}
+}
+
+// refKronecker is the quadrant switch Kronecker replaced with three
+// comparisons, kept verbatim as the reference for its edge lists.
+func refKronecker(scale, edgefactor int, seed int64) *EdgeList {
+	n := int32(1) << scale
+	m := edgefactor << scale
+	rng := rand.New(rand.NewSource(seed))
+	el := &EdgeList{
+		NumVertices: n,
+		Src:         make([]int32, m),
+		Dst:         make([]int32, m),
+	}
+	for e := 0; e < m; e++ {
+		var u, v int32
+		for bit := 0; bit < scale; bit++ {
+			r := rng.Float64()
+			switch {
+			case r < ParamA:
+				// both high bits 0
+			case r < ParamA+ParamB:
+				v |= 1 << bit
+			case r < ParamA+ParamB+ParamC:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				v |= 1 << bit
+			}
+		}
+		el.Src[e], el.Dst[e] = u, v
+	}
+	perm := rng.Perm(int(n))
+	for e := range el.Src {
+		el.Src[e] = int32(perm[el.Src[e]])
+		el.Dst[e] = int32(perm[el.Dst[e]])
+	}
+	return el
+}
+
+func TestKroneckerMatchesReference(t *testing.T) {
+	for _, scale := range []int{1, 2, 5, 10, 13} {
+		for _, seed := range []int64{0, 1, 42, -7} {
+			got, want := Kronecker(scale, 16, seed), refKronecker(scale, 16, seed)
+			if got.NumVertices != want.NumVertices || len(got.Src) != len(want.Src) {
+				t.Fatalf("scale %d seed %d: %d vertices, %d edges; want %d, %d",
+					scale, seed, got.NumVertices, len(got.Src), want.NumVertices, len(want.Src))
+			}
+			for e := range want.Src {
+				if got.Src[e] != want.Src[e] || got.Dst[e] != want.Dst[e] {
+					t.Fatalf("scale %d seed %d: edge %d is %d->%d, want %d->%d",
+						scale, seed, e, got.Src[e], got.Dst[e], want.Src[e], want.Dst[e])
+				}
+			}
+		}
+	}
+}
+
+var benchEdges *EdgeList
+
+// BenchmarkKronecker generates the scale-16 graph of the -quick BFS
+// exhibits: 16.8 M random draws and one permutation.
+func BenchmarkKronecker(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchEdges = Kronecker(16, 16, 1)
 	}
 }
 

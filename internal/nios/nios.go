@@ -23,9 +23,27 @@ type CPU struct {
 	name     string
 	clockMHz float64
 	core     *sim.Semaphore // one unit: the core runs one task at a time
-	taskBusy map[string]sim.Duration
-	taskRuns map[string]int64
+	tasks    []*taskStat    // in order of each task's first completion
 	rec      *trace.Recorder
+}
+
+// taskStat is one task's accounting: a CPU runs a handful of distinct
+// tasks, and each slot keeps a pointer to its task's entry, so a run
+// costs no hash.
+type taskStat struct {
+	name string
+	busy sim.Duration
+	runs int64
+}
+
+// find returns the task's accounting entry, or nil if it never ran.
+func (c *CPU) find(task string) *taskStat {
+	for _, ts := range c.tasks {
+		if ts.name == task {
+			return ts
+		}
+	}
+	return nil
 }
 
 // SetRecorder attaches a trace recorder. Task executions are emitted as
@@ -46,8 +64,6 @@ func New(eng *sim.Engine, name string, clockMHz float64) *CPU {
 		name:     name,
 		clockMHz: clockMHz,
 		core:     sim.NewSemaphore(eng, 1),
-		taskBusy: map[string]sim.Duration{},
-		taskRuns: map[string]int64{},
 	}
 }
 
@@ -63,6 +79,7 @@ func (c *CPU) Scale(refDur sim.Duration) sim.Duration {
 type Slot struct {
 	cpu            *CPU
 	task           string
+	stat           *taskStat // the entry of the last task this slot finished
 	d              sim.Duration
 	t0             sim.Time
 	next           func()
@@ -109,24 +126,40 @@ func (s *Slot) finish() {
 	if c.rec.Stages() {
 		c.rec.EmitSpan(s.t0, c.eng.Now(), c.name, "task", 0, s.task)
 	}
-	c.taskBusy[s.task] += s.d
-	c.taskRuns[s.task]++
+	if s.stat == nil || s.stat.name != s.task {
+		if s.stat = c.find(s.task); s.stat == nil {
+			s.stat = &taskStat{name: s.task}
+			c.tasks = append(c.tasks, s.stat)
+		}
+	}
+	s.stat.busy += s.d
+	s.stat.runs++
 	next := s.next
 	s.next = nil
 	next()
 }
 
 // BusyTime returns the cumulative execution time of one task.
-func (c *CPU) BusyTime(task string) sim.Duration { return c.taskBusy[task] }
+func (c *CPU) BusyTime(task string) sim.Duration {
+	if ts := c.find(task); ts != nil {
+		return ts.busy
+	}
+	return 0
+}
 
 // Runs returns how many times a task executed.
-func (c *CPU) Runs(task string) int64 { return c.taskRuns[task] }
+func (c *CPU) Runs(task string) int64 {
+	if ts := c.find(task); ts != nil {
+		return ts.runs
+	}
+	return 0
+}
 
 // TotalBusy returns the cumulative execution time over all tasks.
 func (c *CPU) TotalBusy() sim.Duration {
 	var t sim.Duration
-	for _, d := range c.taskBusy {
-		t += d
+	for _, ts := range c.tasks {
+		t += ts.busy
 	}
 	return t
 }
@@ -145,7 +178,7 @@ func (c *CPU) TaskUtilization(task string, now sim.Time) float64 {
 	if now <= 0 {
 		return 0
 	}
-	return float64(c.taskBusy[task]) / float64(sim.Duration(now))
+	return float64(c.BusyTime(task)) / float64(sim.Duration(now))
 }
 
 // TaskShare describes one task's share of core time.
@@ -158,9 +191,9 @@ type TaskShare struct {
 // ActiveTasks lists tasks by descending busy time — the simulation's
 // version of the paper's "Nios II active tasks" column.
 func (c *CPU) ActiveTasks() []TaskShare {
-	out := make([]TaskShare, 0, len(c.taskBusy))
-	for t, d := range c.taskBusy {
-		out = append(out, TaskShare{Task: t, Busy: d, Runs: c.taskRuns[t]})
+	out := make([]TaskShare, 0, len(c.tasks))
+	for _, ts := range c.tasks {
+		out = append(out, TaskShare{Task: ts.name, Busy: ts.busy, Runs: ts.runs})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Busy != out[j].Busy {

@@ -81,4 +81,13 @@ func TestAccounting(t *testing.T) {
 	if !cpu.Exec(slot, "zero", 0, nil) || cpu.BusyTime("zero") != 0 || cpu.Runs("zero") != 0 {
 		t.Fatal("zero-cost exec should be free and continue at once")
 	}
+	// Another slot's run of a task adds to the same task's account, also
+	// under a task name built at run time.
+	other := cpu.NewSlot()
+	eng.At(eng.Now(), func() { cpu.Exec(other, string([]byte("RX")), 3*sim.Microsecond, func() {}) })
+	eng.Run()
+	if cpu.BusyTime("RX") != 8*sim.Microsecond || cpu.Runs("RX") != 6 || len(cpu.ActiveTasks()) != 2 ||
+		cpu.TotalBusy() != 10*sim.Microsecond {
+		t.Fatalf("RX across slots: %v/%d, tasks %+v", cpu.BusyTime("RX"), cpu.Runs("RX"), cpu.ActiveTasks())
+	}
 }

@@ -379,6 +379,10 @@ type Device struct {
 	// up carries traffic device->parent; down carries parent->device.
 	up, down *Channel
 	hopLat   sim.Duration
+	// id is the device's index in its fabric, in attach order; paths[id]
+	// of another device is its memoized route to this one.
+	id    int
+	paths []*Path
 
 	// CompletionLatency is the device-internal latency between receiving
 	// a memory read request and emitting the first completion. For host
@@ -394,16 +398,11 @@ type Fabric struct {
 
 	root *Device
 	devs map[string]*Device
-	// paths memoizes Path results: routes are pure functions of the device
-	// tree, and the hot paths (per-packet GPU fetch and RX DMA programming)
-	// resolve the same (src, dst) pair over and over.
-	paths map[[2]*Device]*Path
 }
 
 // NewFabric creates a fabric with a root complex named rcName.
 func NewFabric(eng *sim.Engine, rec *trace.Recorder, name, rcName string) *Fabric {
-	f := &Fabric{Eng: eng, Rec: rec, Name: name, devs: map[string]*Device{},
-		paths: map[[2]*Device]*Path{}}
+	f := &Fabric{Eng: eng, Rec: rec, Name: name, devs: map[string]*Device{}}
 	f.root = &Device{Name: rcName, fab: f}
 	f.devs[rcName] = f.root
 	return f
@@ -432,6 +431,7 @@ func (f *Fabric) Attach(name string, parent *Device, spec LinkSpec, hopLat sim.D
 		up:     NewChannel(f.Eng, f.Name+"."+name+".up", bw),
 		down:   NewChannel(f.Eng, f.Name+"."+name+".down", bw),
 		hopLat: hopLat,
+		id:     len(f.devs),
 	}
 	f.devs[name] = d
 	return d
@@ -449,13 +449,20 @@ type Path struct {
 // Path returns the route from a to b through their common ancestor.
 // Routes never change once both devices are attached (the hierarchy only
 // grows leaves), so results are cached and shared; callers must treat the
-// returned Path as read-only.
+// returned Path as read-only. The hot callers (per-packet GPU fetch and
+// RX DMA programming) resolve the same pair over and over, so the cache
+// is an array index, not a hash.
 func (f *Fabric) Path(a, b *Device) *Path {
-	if p, ok := f.paths[[2]*Device{a, b}]; ok {
-		return p
+	if b.id < len(a.paths) {
+		if p := a.paths[b.id]; p != nil && p.To == b {
+			return p
+		}
 	}
 	p := f.computePath(a, b)
-	f.paths[[2]*Device{a, b}] = p
+	if b.id >= len(a.paths) {
+		a.paths = append(a.paths, make([]*Path, b.id+1-len(a.paths))...)
+	}
+	a.paths[b.id] = p
 	return p
 }
 

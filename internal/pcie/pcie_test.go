@@ -62,6 +62,11 @@ func TestPathResolution(t *testing.T) {
 	if self.Hops() != 0 || self.Latency() != 0 {
 		t.Fatal("self path should be empty")
 	}
+	// Routes are memoized: each pair resolves to one shared Path.
+	if f.Path(nic, gpu) != p || f.Path(gpu, f.Root()) != rcPath || f.Path(gpu, gpu) != self ||
+		f.Path(gpu, nic) == p || f.Path(gpu, nic) != f.Path(gpu, nic) {
+		t.Fatal("Path does not return one shared route per device pair")
+	}
 }
 
 func TestChannelReserveSerializes(t *testing.T) {
@@ -197,6 +202,9 @@ func TestPathDifferentFabricsPanics(t *testing.T) {
 	f2 := NewFabric(eng, nil, "b", "rc")
 	d1 := f1.Attach("x", f1.Root(), Gen2x8, 0)
 	d2 := f2.Attach("y", f2.Root(), Gen2x8, 0)
+	// d1's memoized route to itself sits at the index d2 has in its own
+	// fabric; it must not answer for d2.
+	f1.Path(d1, d1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for cross-fabric path")
