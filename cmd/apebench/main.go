@@ -126,7 +126,7 @@ func main() {
 	baseline := flag.String("baseline", "", "diff the run against this JSON report (with -run, only the selected experiments of it); exit 1 on regressions")
 	tolerance := flag.Float64("tolerance", 0, "per-cell relative tolerance for -baseline, in percent")
 	seed := flag.Int64("seed", 0, "base RNG seed; 0 keeps the paper-default seeds")
-	dimsFlag := flag.String("dims", "", "torus dimensions X,Y,Z for the coll-* experiments (e.g. 8,8,8)")
+	dimsFlag := flag.String("dims", "", "torus dimensions X,Y,Z for the coll-* experiments (e.g. 8,8,8; at most 64x64x64 nodes)")
 	tlb := flag.Bool("tlb", false, "run every card with the hardware RX TLB (28 nm follow-up) instead of the firmware V2P walk")
 	router := flag.String("router", "", "torus routing engine: dor (default), adaptive, or fault")
 	scale := flag.Bool("scale", false, "include the LQCD-scale 16^3/32^3 rows in size-sweeping experiments (minutes of wall time)")

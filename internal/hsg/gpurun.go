@@ -77,7 +77,8 @@ func occupancyFactor(sites int) float64 {
 		if s <= tab[i].sites {
 			lo, hi := tab[i-1], tab[i]
 			t := (s - lo.sites) / (hi.sites - lo.sites)
-			return lo.factor + t*(hi.factor-lo.factor)
+			// Rounding the product keeps it out of a fused multiply-add.
+			return lo.factor + float64(t*(hi.factor-lo.factor))
 		}
 	}
 	return 1

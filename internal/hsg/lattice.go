@@ -19,7 +19,10 @@ type Spin struct {
 	X, Y, Z float64
 }
 
-func (s Spin) dot(t Spin) float64 { return s.X*t.X + s.Y*t.Y + s.Z*t.Z }
+// The spin arithmetic rounds every product with an explicit float64
+// conversion before adding it, so no architecture fuses the two into a
+// multiply-add and the physics comes out alike everywhere.
+func (s Spin) dot(t Spin) float64 { return float64(s.X*t.X) + float64(s.Y*t.Y) + float64(s.Z*t.Z) }
 
 func (s Spin) norm() float64 { return math.Sqrt(s.dot(s)) }
 
@@ -52,13 +55,13 @@ func spinAt(seed uint64, x, y, z int) Spin {
 		h ^= h >> 29
 		h *= 0xFF51AFD7ED558CCD
 		h ^= h >> 32
-		return float64(h%(1<<52)) / (1 << 52)
+		return float64(float64(h%(1<<52)) / (1 << 52))
 	}
 	// Marsaglia method: uniform on the sphere.
 	for k := uint64(0); ; k += 2 {
-		a := 2*u(1+k) - 1
-		b := 2*u(2+k) - 1
-		q := a*a + b*b
+		a := float64(2*u(1+k)) - 1
+		b := float64(2*u(2+k)) - 1
+		q := float64(a*a) + float64(b*b)
 		if q >= 1 || q == 0 {
 			continue
 		}
@@ -115,9 +118,9 @@ func (lat *Lattice) localField(x, y, z int) Spin {
 	gz := lat.globalZ(z)
 	var h Spin
 	add := func(j float64, s Spin) {
-		h.X += j * s.X
-		h.Y += j * s.Y
-		h.Z += j * s.Z
+		h.X += float64(j * s.X)
+		h.Y += float64(j * s.Y)
+		h.Z += float64(j * s.Z)
 	}
 	xp := (x + 1) % L
 	xm := (x - 1 + L) % L
@@ -153,7 +156,7 @@ func (lat *Lattice) HalfSweep(parity int) {
 				i := lat.idx(x, y, z)
 				s := lat.spins[i]
 				f := 2 * s.dot(h) / hh
-				lat.spins[i] = Spin{f*h.X - s.X, f*h.Y - s.Y, f*h.Z - s.Z}
+				lat.spins[i] = Spin{float64(f*h.X) - s.X, float64(f*h.Y) - s.Y, float64(f*h.Z) - s.Z}
 			}
 		}
 	}
@@ -188,9 +191,9 @@ func (lat *Lattice) Energy() float64 {
 		for y := 0; y < L; y++ {
 			for x := 0; x < L; x++ {
 				s := lat.spins[lat.idx(x, y, z)]
-				e -= coupling(lat.seed, x, y, gz, 0, L) * s.dot(lat.spins[lat.idx((x+1)%L, y, z)])
-				e -= coupling(lat.seed, x, y, gz, 1, L) * s.dot(lat.spins[lat.idx(x, (y+1)%L, z)])
-				e -= coupling(lat.seed, x, y, gz, 2, L) * s.dot(lat.spins[lat.idx(x, y, z+1)])
+				e -= float64(coupling(lat.seed, x, y, gz, 0, L) * s.dot(lat.spins[lat.idx((x+1)%L, y, z)]))
+				e -= float64(coupling(lat.seed, x, y, gz, 1, L) * s.dot(lat.spins[lat.idx(x, (y+1)%L, z)]))
+				e -= float64(coupling(lat.seed, x, y, gz, 2, L) * s.dot(lat.spins[lat.idx(x, y, z+1)]))
 			}
 		}
 	}

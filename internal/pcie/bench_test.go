@@ -23,7 +23,13 @@ import (
 // request TLPs of 32 raw bytes paced 80 ns apart, the train a v2/v3 card
 // books per 4 KB packet, each train continuing the last one's pacing. The
 // clock moves to each train's first request, so the calendar holds about
-// one train, as a card's upstream channel does.
+// one train, as a card's upstream channel does. Each train books as one
+// run entry.
+//
+// train-gap-fill is train plus one 16 ns burst per train, requested at
+// the train's first request, so it lands in the run's first gap and
+// splits the run: an RX DMA write's TLP arriving on a channel that a
+// request train paces.
 //
 // steady-near-cap keeps about 1000 live intervals in an array of cap
 // 1024: each op moves the clock one burst on, expiring the oldest
@@ -63,6 +69,22 @@ func BenchmarkChannelReserve(b *testing.B) {
 				at[j] = from.Add(sim.Duration(j) * 80 * sim.Nanosecond)
 			}
 			c.reserveRawTrain(at[:], ReadRequestTLP)
+			from = from.Add(sim.Duration(len(at)) * 80 * sim.Nanosecond)
+		}
+	})
+	b.Run("train-gap-fill", func(b *testing.B) {
+		eng := sim.New()
+		c := NewChannel(eng, "c", 4000*units.MBps)
+		var at [32]sim.Time
+		from := sim.Time(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.RunUntil(from)
+			for j := range at {
+				at[j] = from.Add(sim.Duration(j) * 80 * sim.Nanosecond)
+			}
+			c.reserveRawTrain(at[:], ReadRequestTLP)
+			c.ReserveRaw(from, 2*ReadRequestTLP)
 			from = from.Add(sim.Duration(len(at)) * 80 * sim.Nanosecond)
 		}
 	})

@@ -10,6 +10,7 @@ package pcie
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"apenetsim/internal/sim"
@@ -75,12 +76,14 @@ const (
 // such reservations take an O(1) tail fast path, gap searches start
 // with a binary search instead of a scan, and expired intervals are
 // dropped lazily by advancing a head index (no per-reservation copying).
+// A paced train booked past the horizon is stored as one run entry
+// instead of one interval per burst (see interval).
 type Channel struct {
 	eng  *sim.Engine
 	name string
 	bw   units.Bandwidth
 	// busy[head:] is the live calendar, sorted by start, non-overlapping.
-	// busy[:head] holds expired intervals awaiting compaction (see prune).
+	// busy[:head] holds expired entries awaiting compaction (see prune).
 	busy      []interval
 	head      int
 	busyTime  sim.Duration
@@ -98,8 +101,42 @@ type Channel struct {
 	lastDur sim.Duration
 }
 
+// interval is one calendar entry: the busy span [start, end), or, when
+// stride is non-zero, a run of bursts of length dur spaced stride apart,
+// the first starting at start and the last ending at end. A run holds at
+// least two bursts and stride > dur, so its gaps are never empty. Either
+// kind spans [start, end), so the calendar stays sorted by start and
+// pruned by end whatever it holds.
 type interval struct {
-	start, end sim.Time
+	start, end  sim.Time
+	stride, dur int32
+}
+
+// run returns the entry for the bursts of length dur at start, start +
+// stride, ... whose last one ends at end: a plain interval for one burst.
+func run(start, end sim.Time, stride, dur int32) interval {
+	if end.Sub(start) == sim.Duration(dur) {
+		return interval{start: start, end: end}
+	}
+	return interval{start, end, stride, dur}
+}
+
+// gap returns the earliest start at or after s for a burst of duration
+// d, no longer than the run's gaps, in one of those gaps; ok is false if
+// every gap that could hold it lies past the run's last burst. The burst
+// must not fit before the run: s + d > start.
+func (r *interval) gap(s sim.Time, d sim.Duration) (slot sim.Time, ok bool) {
+	stride := sim.Duration(r.stride)
+	// Gap k ends where burst k+1 starts; take the first gap ending at or
+	// after s + d.
+	next := r.start.Add((s.Add(d).Sub(r.start) + stride - 1) / stride * stride)
+	if next >= r.end {
+		return 0, false
+	}
+	if open := next.Add(sim.Duration(r.dur) - stride); s < open {
+		s = open
+	}
+	return s, true
 }
 
 // NewChannel returns a channel with the given raw bandwidth.
@@ -108,21 +145,27 @@ func NewChannel(eng *sim.Engine, name string, bw units.Bandwidth) *Channel {
 }
 
 // findSlot returns the earliest start for a burst of duration d at or
-// after from, and the index where its interval would be inserted. Pure
-// read of the busy list — reserve books the slot, Probe only looks.
+// after from, and the index where its interval would be inserted, or of
+// the run in one of whose gaps it lies. Pure read of the busy list —
+// reserve books the slot, Probe only looks.
 func (c *Channel) findSlot(from sim.Time, d sim.Duration) (start sim.Time, idx int) {
 	if c.pastTail(from) {
 		return from, len(c.busy)
 	}
 	live := c.busy[c.head:]
 	n := len(live)
-	// Skip intervals that end at or before from.
+	// Skip entries that end at or before from.
 	i := sort.Search(n, func(k int) bool { return live[k].end > from })
 	start = from
 	for i < n {
-		iv := live[i]
+		iv := &live[i]
 		if start.Add(d) <= iv.start {
-			break // fits in the gap before interval i
+			break // fits in the gap before entry i
+		}
+		if d <= sim.Duration(iv.stride-iv.dur) {
+			if slot, ok := iv.gap(start, d); ok {
+				return slot, c.head + i // fits in a gap of run i
+			}
 		}
 		if iv.end > start {
 			start = iv.end
@@ -141,12 +184,12 @@ func (c *Channel) pastTail(from sim.Time) bool {
 
 // extendTail books [start, end) at the end of the calendar: it extends
 // the last interval for back-to-back streams, else appends — no
-// insertion shift either way.
+// insertion shift either way. A run is never extended.
 func (c *Channel) extendTail(start, end sim.Time) {
-	if n := len(c.busy); n > c.head && c.busy[n-1].end == start {
+	if n := len(c.busy); n > c.head && c.busy[n-1].end == start && c.busy[n-1].stride == 0 {
 		c.busy[n-1].end = end
 	} else {
-		c.busy = append(c.busy, interval{start, end})
+		c.busy = append(c.busy, interval{start: start, end: end})
 	}
 }
 
@@ -170,10 +213,11 @@ func (c *Channel) reserve(from sim.Time, d sim.Duration) (start, end sim.Time) {
 }
 
 // train books a train of bursts of duration d, in order: burst i is
-// requested at at[i], and its end is left in at[i]. The calendar, the
-// counters and the peak wait end up as reserve would leave them for the
-// same bursts booked one at a time: no time passes during the train, so
-// it clamps to now and prunes once.
+// requested at at[i], and its end is left in at[i]. The calendar's busy
+// time, the counters and the peak wait end up as reserve would leave
+// them for the same bursts booked one at a time: no time passes during
+// the train, so it clamps to now and prunes once. A train that a run can
+// hold books as one (appendRun); any other books burst by burst.
 func (c *Channel) train(at []sim.Time, d sim.Duration) {
 	now := c.eng.Now()
 	c.reservations += int64(len(at))
@@ -187,6 +231,9 @@ func (c *Channel) train(at []sim.Time, d sim.Duration) {
 	}
 	c.prune(len(at))
 	c.busyTime += sim.Duration(len(at)) * d
+	if c.appendRun(at, now, d) {
+		return
+	}
 	for i, from := range at {
 		if from < now {
 			from = now
@@ -198,6 +245,32 @@ func (c *Channel) train(at []sim.Time, d sim.Duration) {
 		}
 		_, at[i] = c.place(from, d)
 	}
+}
+
+// appendRun books a train as one run at the tail and reports whether it
+// could: the train has two bursts or more, its first is requested at or
+// past the calendar's tail and not before now, and its requests are
+// evenly spaced, wider than a burst and within an entry's int32 fields.
+// Each burst then starts when requested, as reserve would start it.
+func (c *Channel) appendRun(at []sim.Time, now sim.Time, d sim.Duration) bool {
+	n := len(at)
+	if n < 2 || at[0] < now || !c.pastTail(at[0]) {
+		return false
+	}
+	stride := at[1].Sub(at[0])
+	if stride <= d || stride > math.MaxInt32 {
+		return false
+	}
+	for i := 2; i < n; i++ {
+		if at[i].Sub(at[i-1]) != stride {
+			return false
+		}
+	}
+	c.busy = append(c.busy, interval{at[0], at[n-1].Add(d), int32(stride), int32(d)})
+	for i := range at {
+		at[i] = at[i].Add(d)
+	}
+	return true
 }
 
 // place books d in the first idle gap at or after from on a pruned
@@ -213,21 +286,40 @@ func (c *Channel) place(from sim.Time, d sim.Duration) (start, end sim.Time) {
 		c.extendTail(start, end)
 		return start, end
 	}
+	if start > c.busy[i].start {
+		c.split(i, start, end)
+		return start, end
+	}
 	c.busy = append(c.busy, interval{})
 	copy(c.busy[i+1:], c.busy[i:])
-	c.busy[i] = interval{start, end}
+	c.busy[i] = interval{start: start, end: end}
 	c.coalesce(i)
 	return start, end
 }
 
-// coalesce merges the interval at index i with exactly-adjacent neighbors
-// to keep the list compact for back-to-back streams.
+// split books [start, end) in a gap of the run at index i: the run's
+// bursts before the gap stay at i, the new interval follows them, and the
+// run's bursts after the gap follow it.
+func (c *Channel) split(i int, start, end sim.Time) {
+	r := c.busy[i]
+	stride := sim.Duration(r.stride)
+	next := r.start.Add((start.Sub(r.start)/stride + 1) * stride)
+	c.busy = append(c.busy, interval{}, interval{})
+	copy(c.busy[i+3:], c.busy[i+1:])
+	c.busy[i] = run(r.start, next.Add(sim.Duration(r.dur)-stride), r.stride, r.dur)
+	c.busy[i+1] = interval{start: start, end: end}
+	c.busy[i+2] = run(next, r.end, r.stride, r.dur)
+	c.coalesce(i + 1)
+}
+
+// coalesce merges the plain interval at index i with exactly-adjacent
+// plain neighbors to keep the list compact for back-to-back streams.
 func (c *Channel) coalesce(i int) {
-	if i+1 < len(c.busy) && c.busy[i].end == c.busy[i+1].start {
+	if i+1 < len(c.busy) && c.busy[i+1].stride == 0 && c.busy[i].end == c.busy[i+1].start {
 		c.busy[i].end = c.busy[i+1].end
 		c.busy = append(c.busy[:i+1], c.busy[i+2:]...)
 	}
-	if i > c.head && c.busy[i-1].end == c.busy[i].start {
+	if i > c.head && c.busy[i-1].stride == 0 && c.busy[i-1].end == c.busy[i].start {
 		c.busy[i-1].end = c.busy[i].end
 		c.busy = append(c.busy[:i], c.busy[i+1:]...)
 	}
@@ -237,12 +329,12 @@ func (c *Channel) coalesce(i int) {
 // reservation can be placed there anymore. Dropping is lazy — the head
 // index advances past expired entries and the backing array is compacted
 // only once the dead prefix dominates, keeping steady-state reservation
-// free of per-call copying. A full array that the coming bookings, at
-// most one interval each, would grow compacts earlier, once its dead
-// prefix is a third of it: reclaiming that prefix beats growing, and
-// each such compaction frees a third of the array, so it copies at most
-// two live intervals per booking, amortized. A smaller dead prefix lets
-// the array grow.
+// free of per-call copying. A full array that the coming bookings, about
+// one entry each (a split of a run adds two), would grow compacts
+// earlier, once its dead prefix is a third of it: reclaiming that prefix
+// beats growing, and each such compaction frees a third of the array, so
+// it copies at most two live entries per booking, amortized. A smaller
+// dead prefix lets the array grow.
 func (c *Channel) prune(bookings int) {
 	now := c.eng.PruneHorizon()
 	if live := c.busy[c.head:]; len(live) > 0 && live[0].end <= now {

@@ -65,12 +65,14 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 func (d Duration) Nanos() float64 { return float64(d) / float64(Nanosecond) }
 
 // FromSeconds converts a float64 number of seconds into a Duration,
-// rounding to the nearest picosecond.
+// rounding to the nearest picosecond. The explicit float64 conversion
+// rounds the product before the addition, so no architecture fuses the
+// two into one multiply-add and every one converts alike.
 func FromSeconds(s float64) Duration {
 	if s < 0 {
 		return -FromSeconds(-s)
 	}
-	return Duration(s*float64(Second) + 0.5)
+	return Duration(float64(s*float64(Second)) + 0.5)
 }
 
 // FromMicros converts a float64 number of microseconds into a Duration.

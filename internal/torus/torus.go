@@ -5,7 +5,6 @@ package torus
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -57,24 +56,32 @@ func (d Dims) Valid() bool { return d.X > 0 && d.Y > 0 && d.Z > 0 }
 
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z) }
 
+// MaxNodes is the most nodes a parsed torus may have: 64³, the largest
+// torus this simulator is meant to run. A larger size given on a command
+// line or in a capture fails to parse instead of exhausting memory or
+// panicking while the world is built.
+const MaxNodes = 64 * 64 * 64
+
 // ParseDims parses the command-line form "X,Y,Z" (e.g. "8,8,8"; spaces
-// around each number are allowed) into positive torus dimensions whose
-// node count fits in an int.
+// around each number are allowed) into positive torus dimensions of at
+// most MaxNodes nodes.
 func ParseDims(s string) (Dims, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 3 {
 		return Dims{}, fmt.Errorf("want X,Y,Z (e.g. 8,8,8), got %q", s)
 	}
 	var v [3]int
+	nodes := 1
 	for i, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n < 1 {
 			return Dims{}, fmt.Errorf("bad dimension %q in %q", p, s)
 		}
+		if n > MaxNodes/nodes {
+			return Dims{}, fmt.Errorf("torus %q has more than %d (64x64x64) nodes", s, MaxNodes)
+		}
 		v[i] = n
-	}
-	if v[0] > math.MaxInt/v[1] || v[0]*v[1] > math.MaxInt/v[2] {
-		return Dims{}, fmt.Errorf("torus %q has more nodes than an int can count", s)
+		nodes *= n
 	}
 	return Dims{X: v[0], Y: v[1], Z: v[2]}, nil
 }

@@ -25,12 +25,19 @@ func TestParseDims(t *testing.T) {
 		{"4,-2,2", Dims{}, false},
 		{"4,two,2", Dims{}, false},
 		{"4,2,", Dims{}, false},
-		// The node count must fit in an int: rejected, never wrapped.
+		// At most MaxNodes (64³) nodes, in any shape.
+		{"64,64,64", Dims{64, 64, 64}, true},
+		{"65,64,64", Dims{}, false},
+		{"64,64,65", Dims{}, false},
+		{"262144,1,1", Dims{262144, 1, 1}, true},
+		{"1,1,262145", Dims{}, false},
+		{"100000,100000,100000", Dims{}, false},
+		// Products past an int are rejected, never wrapped.
 		{"3037000500,3037000500,1", Dims{}, false},
 		{"4294967296,4294967296,1", Dims{}, false},
 		{"2097152,2097152,2097152", Dims{}, false},
-		{fmt.Sprintf("1,1,%d", math.MaxInt), Dims{1, 1, math.MaxInt}, true},
-		{fmt.Sprintf("1,%d,1", math.MaxInt), Dims{1, math.MaxInt, 1}, true},
+		{fmt.Sprintf("1,1,%d", math.MaxInt), Dims{}, false},
+		{fmt.Sprintf("1,%d,1", math.MaxInt), Dims{}, false},
 		{fmt.Sprintf("2,1,%d", math.MaxInt), Dims{}, false},
 		{fmt.Sprintf("1,%d,2", math.MaxInt), Dims{}, false},
 		{fmt.Sprintf("1,1,%d", uint64(math.MaxInt)+1), Dims{}, false},
@@ -43,8 +50,8 @@ func TestParseDims(t *testing.T) {
 }
 
 // FuzzParseDims checks that every input either fails or parses to dims
-// whose Nodes is the exact product of the three sizes and that round-trip
-// through the "X,Y,Z" form; the seed corpus lives in
+// whose Nodes is the exact product of the three sizes, at most MaxNodes,
+// and that round-trip through the "X,Y,Z" form; the seed corpus lives in
 // testdata/fuzz/FuzzParseDims. Run with
 // `go test -fuzz FuzzParseDims ./internal/torus`.
 func FuzzParseDims(f *testing.F) {
@@ -57,6 +64,9 @@ func FuzzParseDims(f *testing.F) {
 		exact.Mul(exact, big.NewInt(int64(d.Z)))
 		if !exact.IsInt64() || exact.Int64() != int64(d.Nodes()) {
 			t.Fatalf("ParseDims(%q) = %v: Nodes() = %d, exact product %v", s, d, d.Nodes(), exact)
+		}
+		if d.Nodes() > MaxNodes {
+			t.Fatalf("ParseDims(%q) = %v: %d nodes, more than MaxNodes %d", s, d, d.Nodes(), MaxNodes)
 		}
 		form := fmt.Sprintf("%d,%d,%d", d.X, d.Y, d.Z)
 		back, err := ParseDims(form)

@@ -89,11 +89,14 @@ func LineChartSVG(title, yUnit string, series []ChartSeries, xticks []ChartTick)
 		ymax = ymin + 1
 	}
 	plotW := float64(svgW - labelW - 10)
+	// Each product is rounded by an explicit float64 conversion, which
+	// keeps it out of a fused multiply-add: the coordinates then print
+	// alike on every architecture.
 	xOf := func(x float64) string {
-		return fnum(float64(labelW) + (x-xmin)/(xmax-xmin)*plotW)
+		return fnum(float64(labelW) + float64((x-xmin)/(xmax-xmin)*plotW))
 	}
 	yOf := func(y float64) string {
-		return fnum(float64(chartTop) + (1-(y-ymin)/(ymax-ymin))*float64(chartPlotH))
+		return fnum(float64(chartTop) + float64((1-(y-ymin)/(ymax-ymin))*float64(chartPlotH)))
 	}
 
 	var b bytes.Buffer
@@ -109,7 +112,7 @@ func LineChartSVG(title, yUnit string, series []ChartSeries, xticks []ChartTick)
 	}
 	// Horizontal gridlines with y labels at min, mid, max.
 	for _, frac := range []float64{0, 0.5, 1} {
-		y := ymin + frac*(ymax-ymin)
+		y := ymin + float64(frac*(ymax-ymin))
 		fmt.Fprintf(&b, `<line x1="%d" y1="%s" x2="%d" y2="%s" stroke="#eee"/>`+"\n", labelW, yOf(y), svgW-10, yOf(y))
 		label := fnum(y)
 		if yUnit != "" {
@@ -191,8 +194,9 @@ func ShardLanesSVG(f *trace.File) []byte {
 		var prev sim.Time
 		for _, p := range l.Samples {
 			// Each sample covers the interval since the previous one.
-			x0 := float64(labelW) + float64(prev)/float64(maxT)*plotW
-			x1 := float64(labelW) + float64(p.T)/float64(maxT)*plotW
+			// The products are rounded before the sums, never fused.
+			x0 := float64(labelW) + float64(float64(prev)/float64(maxT)*plotW)
+			x1 := float64(labelW) + float64(float64(p.T)/float64(maxT)*plotW)
 			frac := p.V
 			if frac > 1 {
 				frac = 1

@@ -216,7 +216,7 @@ func timelineSVG(c *capture) []byte {
 				frac = 1
 			}
 			fmt.Fprintf(&b, `<rect x="%s" y="%d" width="%s" height="%d" fill="#2b6cb0" fill-opacity="%s"/>`+"\n",
-				fnum(float64(labelW)+float64(i)*bw), y, fnum(bw), laneH, fnum(frac))
+				fnum(float64(labelW)+float64(float64(i)*bw)), y, fnum(bw), laneH, fnum(frac))
 		}
 		y += laneH + laneGap
 	}
@@ -331,11 +331,13 @@ func spaceTimeSVG(c *capture) []byte {
 	}
 	plotW := float64(svgW - labelW - 10)
 	plotH := float64(spaceTimeH - 60)
+	// The float64 conversions round each product, so no architecture
+	// fuses it with the sum into a multiply-add.
 	xOf := func(t sim.Time) string {
-		return fnum(float64(labelW) + float64(t)/float64(c.maxT)*plotW)
+		return fnum(float64(labelW) + float64(float64(t)/float64(c.maxT)*plotW))
 	}
 	yOf := func(rank int) string {
-		return fnum(30 + float64(rank)/float64(ranks-1)*plotH)
+		return fnum(30 + float64(float64(rank)/float64(ranks-1)*plotH))
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="10">`+"\n", svgW, spaceTimeH)
